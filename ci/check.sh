@@ -8,12 +8,14 @@
 # builds each, runs the full ctest suite in each, and fails on any
 # warning, test failure, or sanitizer report. Tool stages (lint,
 # explain, profile, observability, concurrency) reuse the plain tree's
-# binaries (observability additionally runs the ASan-tree profiler). Run
-# from anywhere:
+# binaries (observability additionally runs the ASan-tree profiler); the
+# perfbench stage builds the benchmark's own tree under
+# build-check/perfbench. Run from anywhere:
 #
 #   ci/check.sh              # everything
 #   ci/check.sh plain        # just one tree (plain|asan|tsan)
 #   ci/check.sh concurrency  # concurrency lint + -Wthread-safety build
+#   ci/check.sh perfbench    # wall-clock benchmark self-test (sf 0.05)
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -22,9 +24,9 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 ONLY="${1:-all}"
 
 case "${ONLY}" in
-  all|plain|asan|tsan|tidy|lint|explain|profile|observability|concurrency) ;;
+  all|plain|asan|tsan|tidy|lint|explain|profile|observability|concurrency|perfbench) ;;
   *)
-    echo "usage: ci/check.sh [all|plain|asan|tsan|tidy|lint|explain|profile|observability|concurrency]" >&2
+    echo "usage: ci/check.sh [all|plain|asan|tsan|tidy|lint|explain|profile|observability|concurrency|perfbench]" >&2
     echo "unknown tree '${ONLY}'" >&2
     exit 2
     ;;
@@ -341,6 +343,16 @@ if [[ "${ONLY}" == "all" || "${ONLY}" == "concurrency" ]]; then
   else
     echo "=== [concurrency] clang++ not found, skipping -Wthread-safety verification build ==="
   fi
+fi
+
+# Benchmark self-test (perfbench/README.md): builds the wall-clock LDBC
+# benchmark from this checkout and runs every workload once untraced and
+# once traced at sf 0.05, so an engine change cannot break the
+# benchmark's build, its metric set or its pinned correctness check
+# (match counts and cross-engine result hashes) unnoticed.
+if [[ "${ONLY}" == "all" || "${ONLY}" == "perfbench" ]]; then
+  echo "=== [perfbench] wall-clock benchmark self-test ==="
+  CARGO_TARGET_DIR="${OUT}/perfbench" python3 "${ROOT}/perfbench/selftest.py"
 fi
 
 # Optional lint stage: the sanitizer gates above are mandatory, clang-tidy

@@ -59,20 +59,19 @@ bool Random::NextBool(double p) { return NextDouble() < p; }
 
 uint64_t Random::NextZipf(uint64_t n, double s) {
   assert(n > 0);
-  if (zipf_n_ != n || zipf_s_ != s) {
-    zipf_n_ = n;
-    zipf_s_ = s;
-    zipf_cdf_.resize(n);
+  std::vector<double>& cdf = zipf_cdfs_[{n, s}];
+  if (cdf.empty()) {
+    cdf.resize(n);
     double sum = 0.0;
     for (uint64_t i = 0; i < n; ++i) {
       sum += 1.0 / std::pow(static_cast<double>(i + 1), s);
-      zipf_cdf_[i] = sum;
+      cdf[i] = sum;
     }
-    for (uint64_t i = 0; i < n; ++i) zipf_cdf_[i] /= sum;
+    for (uint64_t i = 0; i < n; ++i) cdf[i] /= sum;
   }
   const double u = NextDouble();
-  const auto it = std::lower_bound(zipf_cdf_.begin(), zipf_cdf_.end(), u);
-  return static_cast<uint64_t>(it - zipf_cdf_.begin());
+  const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+  return static_cast<uint64_t>(it - cdf.begin());
 }
 
 uint64_t Random::NextPowerLawDegree(uint64_t min_degree, uint64_t max_degree,

@@ -2,6 +2,8 @@
 #define GRADOOP_COMMON_RANDOM_H_
 
 #include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
 namespace gradoop {
@@ -26,7 +28,8 @@ class Random {
 
   // Samples an index in [0, n) under a Zipf distribution with exponent s:
   // P(i) ~ 1/(i+1)^s. Used for skewed property values (e.g. first names).
-  // Precomputes the CDF on first use for a given (n, s).
+  // Precomputes the CDF on first use for a given (n, s) and keeps it, so
+  // interleaving draws over several (n, s) pairs costs O(log n) each.
   uint64_t NextZipf(uint64_t n, double s);
 
   // Samples a vertex degree from a discrete power law with exponent alpha
@@ -39,10 +42,8 @@ class Random {
   uint64_t s0_;
   uint64_t s1_;
 
-  // Cached Zipf CDF for the last (n, s) pair requested.
-  uint64_t zipf_n_ = 0;
-  double zipf_s_ = 0.0;
-  std::vector<double> zipf_cdf_;
+  // Zipf CDF per (n, s) pair requested so far.
+  std::map<std::pair<uint64_t, double>, std::vector<double>> zipf_cdfs_;
 };
 
 }  // namespace gradoop

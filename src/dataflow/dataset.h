@@ -16,6 +16,7 @@
 #include "dataflow/execution_context.h"
 #include "dataflow/partitioning_audit.h"
 #include "dataflow/record_traits.h"
+#include "dataflow/stage_charges.h"
 
 namespace gradoop::dataflow {
 
@@ -421,10 +422,7 @@ class Dataset {
     }
 
     // Phase 2: per-worker build + probe.
-    std::vector<uint64_t> work(p, 0);
-    std::vector<uint64_t> out_counts(p, 0);
-    std::vector<uint64_t> state_bytes(p, 0);
-    std::vector<uint64_t> state_records(p, 0);
+    BuildProbeTally tally(p);
     const std::string build_probe_label = std::string(label) + "/BuildProbe";
     common::CancellationToken& cancel = ctx_->cancellation();
     RunPerPartition(build_probe_label.c_str(), [&](int part) {
@@ -445,49 +443,12 @@ class Dataset {
         // cancellation: matches of one probe row; outer loop polls per row.
         for (; it != end; ++it) joiner(lrec, *it->second, &dst);
       }
-      work[part] = lsrc.size() + rsrc.size();
-      out_counts[part] = dst.size();
-      state_bytes[part] = bytes;
-      state_records[part] = rsrc.size();
+      tally.work[part] = lsrc.size() + rsrc.size();
+      tally.out_counts[part] = dst.size();
+      tally.state_bytes[part] = bytes;
+      tally.state_records[part] = rsrc.size();
     });
-
-    // Compute + spill accounting for the build/probe stage.
-    const auto& cfg = ctx_->config();
-    StageCost cost;
-    cost.label = std::string(label) + "/BuildProbe";
-    uint64_t total_in = 0, total_out = 0;
-    double worst = 0.0;
-    for (int i = 0; i < p; ++i) {
-      worst = std::max(worst, static_cast<double>(work[i] + out_counts[i]) *
-                                  cfg.seconds_per_record);
-      total_in += work[i];
-      total_out += out_counts[i];
-    }
-    cost.compute_sec = worst;
-    uint64_t spilled = 0;
-    cost.spill_sec = SpillSeconds(state_bytes, state_records, cfg, &spilled);
-    cost.latency_sec = cfg.stage_latency_sec;
-    ctx_->tracker().AddStage(cost);
-    ctx_->tracker().AddRecords(total_in + total_out);
-    ctx_->tracker().AddSpilledBytes(spilled);
-    if (accountant.enabled()) {
-      // The per-worker hash tables held one entry per build row; charging
-      // after the stage still registers the momentary high in the peak.
-      uint64_t table_entries = 0;
-      for (const uint64_t n : state_records) table_entries += n;
-      const uint64_t table_bytes = table_entries * kHashTableEntryBytes;
-      accountant.Charge(table_bytes);
-      accountant.Release(staged_bytes + table_bytes);
-    }
-    if (ctx_->telemetry().enabled()) {
-      auto& metrics = ctx_->telemetry().metrics();
-      metrics.AddCounter("stage.count", 1);
-      metrics.AddCounter("stage.records_in", total_in);
-      if (spilled > 0) metrics.AddCounter("spill.bytes", spilled);
-      for (const uint64_t n : work) {
-        metrics.Observe("stage.partition_records", static_cast<double>(n));
-      }
-    }
+    ChargeBuildProbe(*ctx_, build_probe_label, tally, staged_bytes);
     return Dataset<Out>(ctx_, std::move(out));
   }
 
@@ -508,14 +469,11 @@ class Dataset {
         traced ? ctx_->telemetry().tracer().NowMicros() : 0.0;
     const int p = num_partitions();
     auto out = std::make_shared<Partitions>(p);
-    std::vector<uint64_t> out_bytes(p, 0), in_bytes(p, 0);
-    std::vector<uint64_t> in_counts(p, 0);
-    uint64_t moved = 0;
-    uint64_t exchanged = 0;
+    ExchangeTally tally(p);
     std::vector<std::pair<int, T>> frags;
     common::CancellationToken& cancel = ctx_->cancellation();
     for (int i = 0; i < p; ++i) {
-      in_counts[i] = (*partitions_)[i].size();
+      tally.in_counts[i] = (*partitions_)[i].size();
       for (const T& rec : (*partitions_)[i]) {
         if (cancel.CheckCancelled()) break;
         frags.clear();
@@ -523,44 +481,17 @@ class Dataset {
         for (auto& [target, frag] : frags) {
           assert(target >= 0 && target < p);
           const uint64_t b = (traced || target != i) ? RecordBytes(frag) : 0;
-          if (traced) exchanged += b;
+          if (traced) tally.exchanged += b;
           if (target != i) {
-            out_bytes[i] += b;
-            in_bytes[target] += b;
-            moved += b;
+            tally.out_bytes[i] += b;
+            tally.in_bytes[target] += b;
+            tally.moved += b;
           }
           (*out)[target].push_back(std::move(frag));
         }
       }
     }
-    const auto& cfg = ctx_->config();
-    StageCost cost;
-    cost.label = std::string(label) + "/Shuffle";
-    double worst = 0.0;
-    for (int i = 0; i < p; ++i) {
-      worst = std::max(
-          worst, static_cast<double>(in_counts[i]) * cfg.seconds_per_record);
-    }
-    cost.compute_sec = worst;
-    cost.network_sec = ShuffleSeconds(out_bytes, in_bytes, cfg);
-    cost.latency_sec = cfg.stage_latency_sec;
-    ctx_->tracker().AddStage(cost);
-    ctx_->tracker().AddNetworkBytes(moved);
-    uint64_t total = 0;
-    for (uint64_t n : in_counts) total += n;
-    ctx_->tracker().AddRecords(total);
-    if (traced) {
-      telemetry::Telemetry& tel = ctx_->telemetry();
-      tel.tracer().AddSpan(
-          cost.label, telemetry::kCategoryStage, span_begin_us,
-          tel.tracer().NowMicros(), /*worker=*/-1,
-          {{"bytes", static_cast<double>(exchanged)},
-           {"remote_bytes", static_cast<double>(moved)},
-           {"records", static_cast<double>(total)}});
-      tel.metrics().AddCounter("shuffle.count", 1);
-      tel.metrics().AddCounter("shuffle.bytes", exchanged);
-      tel.metrics().AddCounter("shuffle.bytes.remote", moved);
-    }
+    ChargeExchange(*ctx_, label, tally, span_begin_us);
     return Dataset<T>(ctx_, std::move(out));
   }
 
@@ -649,54 +580,19 @@ class Dataset {
       }
       accountant.Charge(staged_bytes);
     }
-    std::vector<uint64_t> work(p, 0);
-    std::vector<uint64_t> out_counts(p, 0);
-    std::vector<uint64_t> state_bytes(p, 0);
-    std::vector<uint64_t> state_records(p, 0);
+    BuildProbeTally tally(p);
     const std::string stage_label = std::string(label) + "/BuildProbe";
     RunPerPartition(stage_label.c_str(), [&](int part) {
       ZipPartitionStats st;
       fn(part, (*partitions_)[part], right.partition(part), &(*out)[part],
          &st);
-      work[part] = (*partitions_)[part].size() + right.partition(part).size();
-      out_counts[part] = (*out)[part].size();
-      state_bytes[part] = st.state_bytes;
-      state_records[part] = st.state_records;
+      tally.work[part] =
+          (*partitions_)[part].size() + right.partition(part).size();
+      tally.out_counts[part] = (*out)[part].size();
+      tally.state_bytes[part] = st.state_bytes;
+      tally.state_records[part] = st.state_records;
     });
-    const auto& cfg = ctx_->config();
-    StageCost cost;
-    cost.label = stage_label;
-    uint64_t total_in = 0, total_out = 0;
-    double worst = 0.0;
-    for (int i = 0; i < p; ++i) {
-      worst = std::max(worst, static_cast<double>(work[i] + out_counts[i]) *
-                                  cfg.seconds_per_record);
-      total_in += work[i];
-      total_out += out_counts[i];
-    }
-    cost.compute_sec = worst;
-    uint64_t spilled = 0;
-    cost.spill_sec = SpillSeconds(state_bytes, state_records, cfg, &spilled);
-    cost.latency_sec = cfg.stage_latency_sec;
-    ctx_->tracker().AddStage(cost);
-    ctx_->tracker().AddRecords(total_in + total_out);
-    ctx_->tracker().AddSpilledBytes(spilled);
-    if (accountant.enabled()) {
-      uint64_t table_entries = 0;
-      for (const uint64_t n : state_records) table_entries += n;
-      const uint64_t table_bytes = table_entries * kHashTableEntryBytes;
-      accountant.Charge(table_bytes);
-      accountant.Release(staged_bytes + table_bytes);
-    }
-    if (ctx_->telemetry().enabled()) {
-      auto& metrics = ctx_->telemetry().metrics();
-      metrics.AddCounter("stage.count", 1);
-      metrics.AddCounter("stage.records_in", total_in);
-      if (spilled > 0) metrics.AddCounter("spill.bytes", spilled);
-      for (const uint64_t n : work) {
-        metrics.Observe("stage.partition_records", static_cast<double>(n));
-      }
-    }
+    ChargeBuildProbe(*ctx_, stage_label, tally, staged_bytes);
     return Dataset<Out>(ctx_, std::move(out));
   }
 
@@ -799,15 +695,12 @@ class Dataset {
         traced ? ctx_->telemetry().tracer().NowMicros() : 0.0;
     const int p = num_partitions();
     dst->assign(p, {});
-    std::vector<uint64_t> out_bytes(p, 0), in_bytes(p, 0);
-    std::vector<uint64_t> in_counts(p, 0);
-    uint64_t moved = 0;
-    uint64_t exchanged = 0;
+    ExchangeTally tally(p);
     using K = std::decay_t<std::invoke_result_t<KeyFn, const Rec&>>;
     std::hash<K> hasher;
     common::CancellationToken& cancel = ctx_->cancellation();
     for (int i = 0; i < p; ++i) {
-      in_counts[i] = src[i].size();
+      tally.in_counts[i] = src[i].size();
       for (const Rec& rec : src[i]) {
         if (cancel.CheckCancelled()) break;
         const int target = static_cast<int>(hasher(key(rec)) % p);
@@ -818,43 +711,16 @@ class Dataset {
         // computation entirely for untraced local records.
         const uint64_t b =
             (traced || target != i) ? RecordBytes(rec) : 0;
-        if (traced) exchanged += b;
+        if (traced) tally.exchanged += b;
         if (target != i) {
-          out_bytes[i] += b;
-          in_bytes[target] += b;
-          moved += b;
+          tally.out_bytes[i] += b;
+          tally.in_bytes[target] += b;
+          tally.moved += b;
         }
         (*dst)[target].push_back(rec);
       }
     }
-    const auto& cfg = ctx_->config();
-    StageCost cost;
-    cost.label = std::string(label) + "/Shuffle";
-    double worst = 0.0;
-    for (int i = 0; i < p; ++i) {
-      worst = std::max(worst,
-                       static_cast<double>(in_counts[i]) * cfg.seconds_per_record);
-    }
-    cost.compute_sec = worst;
-    cost.network_sec = ShuffleSeconds(out_bytes, in_bytes, cfg);
-    cost.latency_sec = cfg.stage_latency_sec;
-    ctx_->tracker().AddStage(cost);
-    ctx_->tracker().AddNetworkBytes(moved);
-    uint64_t total = 0;
-    for (uint64_t n : in_counts) total += n;
-    ctx_->tracker().AddRecords(total);
-    if (traced) {
-      telemetry::Telemetry& tel = ctx_->telemetry();
-      tel.tracer().AddSpan(
-          cost.label, telemetry::kCategoryStage, span_begin_us,
-          tel.tracer().NowMicros(), /*worker=*/-1,
-          {{"bytes", static_cast<double>(exchanged)},
-           {"remote_bytes", static_cast<double>(moved)},
-           {"records", static_cast<double>(total)}});
-      tel.metrics().AddCounter("shuffle.count", 1);
-      tel.metrics().AddCounter("shuffle.bytes", exchanged);
-      tel.metrics().AddCounter("shuffle.bytes.remote", moved);
-    }
+    ChargeExchange(*ctx_, label, tally, span_begin_us);
   }
 
   // Adopts `src` as the already-partitioned join-side layout: the

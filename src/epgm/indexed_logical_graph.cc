@@ -85,6 +85,39 @@ dataflow::Dataset<Edge> IndexedLogicalGraph::AllEdges() const {
   return out;
 }
 
+dataflow::Dataset<Edge> IndexedLogicalGraph::EdgesOfTypes(
+    const std::vector<std::string>& types) const {
+  if (types.empty()) return AllEdges();
+  dataflow::Dataset<Edge> out = EdgesByLabel(types.front());
+  for (size_t i = 1; i < types.size(); ++i) {
+    out = out.Union(EdgesByLabel(types[i]));
+  }
+  return out;
+}
+
+std::shared_ptr<const AdjacencyIndex> IndexedLogicalGraph::Adjacency(
+    const std::vector<std::string>& types, bool reverse) const {
+  // One lock across the build: a second query asking for the same index
+  // waits for it instead of building a duplicate. The build runs pool
+  // tasks, whose dataflow-rank locks sit below this one.
+  common::MutexLock lock(adjacency_->mu);
+  std::shared_ptr<const AdjacencyIndex>& slot =
+      adjacency_->indexes[{types, reverse}];
+  if (slot != nullptr) return slot;
+  telemetry::Telemetry& tel = ctx_->telemetry();
+  const bool traced = tel.enabled();
+  const double begin_us = traced ? tel.tracer().NowMicros() : 0.0;
+  slot = std::make_shared<const AdjacencyIndex>(
+      AdjacencyIndex::Build(EdgesOfTypes(types), reverse));
+  if (traced) {
+    tel.tracer().AddSpan("AdjacencyIndex/Build", telemetry::kCategoryStage,
+                         begin_us, tel.tracer().NowMicros(), /*worker=*/-1,
+                         {{"edges", static_cast<double>(slot->num_edges())},
+                          {"reverse", reverse ? 1.0 : 0.0}});
+  }
+  return slot;
+}
+
 std::vector<std::string> IndexedLogicalGraph::VertexLabels() const {
   std::vector<std::string> out;
   for (const auto& [label, ds] : vertices_by_label_) out.push_back(label);

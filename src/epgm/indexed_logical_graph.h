@@ -2,9 +2,13 @@
 #define GRADOOP_EPGM_INDEXED_LOGICAL_GRAPH_H_
 
 #include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/thread_annotations.h"
+#include "epgm/adjacency_index.h"
 #include "epgm/logical_graph.h"
 
 namespace gradoop::epgm {
@@ -33,6 +37,19 @@ class IndexedLogicalGraph {
   dataflow::Dataset<Vertex> AllVertices() const;
   dataflow::Dataset<Edge> AllEdges() const;
 
+  // Union of the per-label datasets of `types`, in that order; all edges
+  // when `types` is empty (an edge pattern's type alternation).
+  dataflow::Dataset<Edge> EdgesOfTypes(
+      const std::vector<std::string>& types) const;
+
+  // Adjacency of EdgesOfTypes(types) keyed by source id (target id when
+  // `reverse`). Built on first use — not in Build, which would pay for
+  // every label and direction up front — and shared by every later call,
+  // including concurrent queries and copies of this graph; freed with the
+  // last copy.
+  std::shared_ptr<const AdjacencyIndex> Adjacency(
+      const std::vector<std::string>& types, bool reverse) const;
+
   std::vector<std::string> VertexLabels() const;
   std::vector<std::string> EdgeLabels() const;
 
@@ -41,6 +58,15 @@ class IndexedLogicalGraph {
   dataflow::ExecutionContextPtr ctx_;
   std::map<std::string, dataflow::Dataset<Vertex>> vertices_by_label_;
   std::map<std::string, dataflow::Dataset<Edge>> edges_by_label_;
+
+  struct AdjacencyCache {
+    common::Mutex mu{common::LockRank::kExec, "epgm.adjacency_cache"};
+    std::map<std::pair<std::vector<std::string>, bool>,
+             std::shared_ptr<const AdjacencyIndex>>
+        indexes GUARDED_BY(mu);
+  };
+  std::shared_ptr<AdjacencyCache> adjacency_ =
+      std::make_shared<AdjacencyCache>();
 };
 
 }  // namespace gradoop::epgm

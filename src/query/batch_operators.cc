@@ -545,7 +545,6 @@ EmbeddingSet BatchesToRows(const BatchSet& batches) {
   auto data = batches.data.FlatMap<Embedding>(
       [](const EmbeddingBatch& b, std::vector<Embedding>* out) {
         const uint32_t active = b.ActiveRows();
-        out->reserve(out->size() + active);
         for (uint32_t i = 0; i < active; ++i) {
           out->push_back(b.RowAt(b.ActiveRow(i)));
         }
@@ -776,11 +775,10 @@ BatchSet ValueJoinBatches(const BatchSet& left, const BatchSet& right,
 }
 
 BatchSet ExpandBatches(const BatchSet& input,
-                       const dataflow::Dataset<epgm::Edge>& edges,
+                       const epgm::AdjacencyIndex& adjacency,
                        int start_column, int bound_end_column,
                        const EmbeddingMetaData& result_meta, int lower_bound,
-                       int upper_bound, bool reverse,
-                       const MorphismSetting& semantics,
+                       int upper_bound, const MorphismSetting& semantics,
                        const std::vector<cypher::CnfClause>& residual,
                        int batch_size) {
   // The frontier iteration is inherently row-dependent (each path grows
@@ -789,9 +787,9 @@ BatchSet ExpandBatches(const BatchSet& input,
   // re-batches the emissions (docs/vectorized.md).
   EmbeddingSet rows = BatchesToRows(input);
   EmbeddingSet expanded =
-      ExpandEmbeddings(rows, edges, start_column, bound_end_column,
-                       result_meta, lower_bound, upper_bound, reverse,
-                       semantics, residual);
+      ExpandEmbeddings(rows, adjacency, start_column, bound_end_column,
+                       result_meta, lower_bound, upper_bound, semantics,
+                       residual);
   return RowsToBatches(expanded, batch_size);
 }
 

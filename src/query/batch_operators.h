@@ -88,11 +88,10 @@ BatchSet ValueJoinBatches(const BatchSet& left, const BatchSet& right,
 // re-batch. See docs/vectorized.md for why this operator is the
 // deliberate exception to end-to-end columnar processing.
 BatchSet ExpandBatches(const BatchSet& input,
-                       const dataflow::Dataset<epgm::Edge>& edges,
+                       const epgm::AdjacencyIndex& adjacency,
                        int start_column, int bound_end_column,
                        const EmbeddingMetaData& result_meta, int lower_bound,
-                       int upper_bound, bool reverse,
-                       const MorphismSetting& semantics,
+                       int upper_bound, const MorphismSetting& semantics,
                        const std::vector<cypher::CnfClause>& residual,
                        int batch_size);
 

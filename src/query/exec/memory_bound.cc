@@ -106,10 +106,13 @@ MemoryBound DeriveNode(const PhysicalOperator& op, int num_workers,
     }
 
     case PhysOpKind::kExpand: {
-      // Each hop joins the frontier against the full edge dataset: the
-      // edge rows are staged and become build-table entries, per hop, and
-      // the frontier/emission state rides along. Old hop staging is
-      // released before the next hop, so one hop's worth bounds them all.
+      // Priced as the paper's plan, where each hop joins the frontier
+      // against the full edge dataset: the edge rows are staged and become
+      // build-table entries, per hop, and the frontier/emission state
+      // rides along. The host walks the graph's adjacency index instead
+      // but charges the accountant the same per-hop staging. Old hop
+      // staging is released before the next hop, so one hop's worth
+      // bounds them all.
       const auto& expand = static_cast<const ExpandOp&>(op);
       const uint64_t edge_rows = expand.edge_input_estimate();
       const uint64_t input_bytes =

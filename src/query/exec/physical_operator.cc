@@ -57,16 +57,6 @@ dfl::Dataset<epgm::Vertex> VertexScanInput(
   return out;
 }
 
-dfl::Dataset<epgm::Edge> EdgeScanInput(const epgm::IndexedLogicalGraph& graph,
-                                       const std::vector<std::string>& types) {
-  if (types.empty()) return graph.AllEdges();
-  dfl::Dataset<epgm::Edge> out = graph.EdgesByLabel(types.front());
-  for (size_t i = 1; i < types.size(); ++i) {
-    out = out.Union(graph.EdgesByLabel(types[i]));
-  }
-  return out;
-}
-
 }  // namespace
 
 Status PhysicalOperator::Open(const ExecEnv& env) {
@@ -387,7 +377,7 @@ Result<EmbeddingSet> EdgeScanOp::Run(const ExecEnv& env,
     }
   }
   EmbeddingSet scanned = SelectAndProjectEdges(
-      EdgeScanInput(*env.graph, query_edge_.types), query_edge_, predicates_,
+      env.graph->EdgesOfTypes(query_edge_.types), query_edge_, predicates_,
       semantics_, self_loop_, output_meta_, fused_clauses_);
   if (env.scan_cache != nullptr && !signature_.empty()) {
     env.scan_cache->emplace(signature_, scanned.data);
@@ -407,7 +397,7 @@ Result<BatchSet> EdgeScanOp::RunBatch(const ExecEnv& env,
     }
   }
   BatchSet scanned = ScanEdgesBatch(
-      EdgeScanInput(*env.graph, query_edge_.types), query_edge_, predicates_,
+      env.graph->EdgesOfTypes(query_edge_.types), query_edge_, predicates_,
       semantics_, self_loop_, output_meta_, fused_clauses_,
       RuntimeBatchSize());
   if (env.batch_scan_cache != nullptr && !signature_.empty()) {
@@ -498,20 +488,19 @@ std::string ExpandOp::Describe() const {
 Result<EmbeddingSet> ExpandOp::Run(const ExecEnv& env,
                                    std::vector<EmbeddingSet> inputs) {
   return ExpandEmbeddings(inputs[0],
-                          EdgeScanInput(*env.graph, query_edge_.types),
+                          *env.graph->Adjacency(query_edge_.types, reverse_),
                           start_column_, bound_end_column_, output_meta_,
                           query_edge_.lower_bound, query_edge_.upper_bound,
-                          reverse_, semantics_, fused_clauses_);
+                          semantics_, fused_clauses_);
 }
 
 Result<BatchSet> ExpandOp::RunBatch(const ExecEnv& env,
                                     std::vector<BatchSet> inputs) {
   return ExpandBatches(inputs[0],
-                       EdgeScanInput(*env.graph, query_edge_.types),
+                       *env.graph->Adjacency(query_edge_.types, reverse_),
                        start_column_, bound_end_column_, output_meta_,
                        query_edge_.lower_bound, query_edge_.upper_bound,
-                       reverse_, semantics_, fused_clauses_,
-                       RuntimeBatchSize());
+                       semantics_, fused_clauses_, RuntimeBatchSize());
 }
 
 // --- FilterOp ----------------------------------------------------------

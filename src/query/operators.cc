@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <memory>
 #include <optional>
+#include <span>
+#include <string>
 
 namespace gradoop::query {
 
@@ -275,27 +278,122 @@ EmbeddingSet SelectEmbeddings(const EmbeddingSet& input,
 
 namespace {
 
-// Working record of one in-flight variable-length expansion.
+// Working record of one in-flight variable-length expansion: a path of
+// `hops` edges from the start binding of `*base` to `end`. Neither the
+// base embedding nor the path is copied from hop to hop: `base` points at
+// a row of the expansion's input dataset, and `prev` at the state this one
+// grew from — a record of the previous hop's exchanged frontier, which
+// ExpandEmbeddings keeps alive until it returns. The path's via list
+// (alternating edge/vertex ids) is the chain of (edge, end) pairs.
 struct ExpandState {
-  Embedding base;             // the input embedding, untouched
-  std::vector<uint64_t> via;  // alternating edge/vertex ids walked so far
-  uint64_t end = 0;           // current path end vertex
+  const Embedding* base = nullptr;    // the input embedding, untouched
+  const ExpandState* prev = nullptr;  // the path without its last hop
+  uint64_t edge = 0;                  // last edge walked (hops >= 1)
+  uint64_t end = 0;                   // current path end vertex
+  uint32_t hops = 0;
 
+  size_t ViaSize() const { return hops == 0 ? 0 : 2 * size_t{hops} - 1; }
+
+  // The record the paper's plan ships per hop carries the whole base
+  // embedding and the via list, so that is what the cost model prices.
   size_t SerializedSize() const {
-    return base.SerializedSize() + sizeof(uint32_t) + 8 * via.size() + 8;
+    return base->SerializedSize() + sizeof(uint32_t) + 8 * ViaSize() + 8;
+  }
+
+  // The via list in walk order: e1, v1, e2, ..., v(k-1), ek.
+  std::vector<uint64_t> Via() const {
+    std::vector<uint64_t> via(ViaSize());
+    size_t i = via.size();
+    for (const ExpandState* s = this; s->hops > 0; s = s->prev) {
+      via[--i] = s->edge;
+      if (i > 0) via[--i] = s->prev->end;
+    }
+    return via;
   }
 };
+
+uint64_t EndOf(const ExpandState& s) { return s.end; }
+
+// One 1-hop expansion: exchanges the frontier on its end vertex, then
+// every partition walks its share of `adjacency` and `step(state,
+// neighbor, &out)` grows the surviving paths. The exchanged frontier is
+// appended to `paths`, which must outlive the returned states (they point
+// into it). Charged exactly as the paper's per-hop repartition join of
+// the frontier with the edge set: the frontier exchange really runs; the
+// edge side's exchange and build state are charged from the totals the
+// index computed when it was built.
+template <typename Step>
+dfl::Dataset<ExpandState> ExpandHop(
+    const dfl::Dataset<ExpandState>& frontier,
+    const epgm::AdjacencyIndex& adjacency, const Step& step,
+    std::vector<dfl::Dataset<ExpandState>>* paths) {
+  static constexpr const char* kLabel = "ExpandStep";
+  dfl::ExecutionContext& ctx = *frontier.context();
+  const dfl::Dataset<ExpandState> shuffled =
+      paths->emplace_back(frontier.RepartitionByKey(EndOf, kLabel));
+  telemetry::Telemetry& tel = ctx.telemetry();
+  dfl::ChargeExchange(ctx, kLabel, adjacency.exchange(),
+                      tel.enabled() ? tel.tracer().NowMicros() : 0.0);
+
+  const int p = frontier.num_partitions();
+  dfl::MemoryAccountant& accountant = ctx.accountant();
+  uint64_t staged_bytes = 0;
+  if (accountant.enabled()) {
+    for (int part = 0; part < p; ++part) {
+      // cancellation: accounting byte walk; the walk below polls.
+      for (const ExpandState& s : shuffled.partition(part)) {
+        staged_bytes += dfl::RecordBytes(s);
+      }
+    }
+    staged_bytes += adjacency.total_bytes();
+    accountant.Charge(staged_bytes);
+  }
+
+  auto out = std::make_shared<dfl::Dataset<ExpandState>::Partitions>(p);
+  dfl::BuildProbeTally tally(p);
+  const std::string stage_label = std::string(kLabel) + "/BuildProbe";
+  common::CancellationToken& cancel = ctx.cancellation();
+  ctx.pool().RunAndWait(
+      p,
+      [&](int part) {
+        std::vector<ExpandState>& dst = (*out)[part];
+        const std::vector<ExpandState>& src = shuffled.partition(part);
+        adjacency.Walk(
+            part, src, EndOf,
+            [&](const ExpandState& s,
+                std::span<const epgm::AdjacencyIndex::Neighbor> adj) {
+              // Newest first: HashJoin's unordered_multimap build table
+              // returns equal keys in that order, so the hop emits the
+              // same rows in the same per-partition order as a join.
+              // cancellation: adjacency of one frontier record; Walk polls
+              // per record.
+              for (auto it = adj.rbegin(); it != adj.rend(); ++it) {
+                step(s, *it, &dst);
+              }
+            },
+            cancel);
+        tally.work[part] = src.size() + adjacency.rows(part);
+        tally.out_counts[part] = dst.size();
+        tally.state_bytes[part] = adjacency.bytes(part);
+        tally.state_records[part] = adjacency.rows(part);
+      },
+      stage_label.c_str());
+  dfl::ChargeBuildProbe(ctx, stage_label, tally, staged_bytes);
+  return dfl::Dataset<ExpandState>(frontier.context(), std::move(out));
+}
 
 }  // namespace
 
 EmbeddingSet ExpandEmbeddings(const EmbeddingSet& input,
-                              const dataflow::Dataset<epgm::Edge>& edges,
+                              const epgm::AdjacencyIndex& adjacency,
                               int start_column, int bound_end_column,
                               const EmbeddingMetaData& result_meta,
-                              int lower_bound, int upper_bound, bool reverse,
+                              int lower_bound, int upper_bound,
                               const MorphismSetting& semantics,
                               const std::vector<cypher::CnfClause>& residual) {
   assert(start_column >= 0 && "expansion start must be bound");
+  assert(adjacency.num_partitions() == input.data.num_partitions());
+  const bool reverse = adjacency.reverse();
   const bool end_bound = bound_end_column >= 0;
 
   // Columns of the *input* layout, read off the input's compiled meta
@@ -307,10 +405,10 @@ EmbeddingSet ExpandEmbeddings(const EmbeddingSet& input,
 
   // Builds the emitted embedding for a completed path of k >= 0 hops.
   auto emit = [=](const ExpandState& state, std::vector<Embedding>* out) {
-    std::vector<uint64_t> via = state.via;
+    if (end_bound && state.base->IdAt(bound_end_column) != state.end) return;
+    std::vector<uint64_t> via = state.Via();
     if (reverse) std::reverse(via.begin(), via.end());
-    if (end_bound && state.base.IdAt(bound_end_column) != state.end) return;
-    Embedding result = state.base;
+    Embedding result = *state.base;
     result.AppendPath(via);
     if (!end_bound) result.AppendId(state.end);
     if (!SatisfiesMorphism(result, result_meta, semantics)) return;
@@ -318,18 +416,50 @@ EmbeddingSet ExpandEmbeddings(const EmbeddingSet& input,
     out->push_back(std::move(result));
   };
 
+  // Grows path `s` by the adjacency entry `adj`, enforcing the morphism
+  // constraints on the grown path.
+  auto step = [=](const ExpandState& s,
+                  const epgm::AdjacencyIndex::Neighbor& adj,
+                  std::vector<ExpandState>* out) {
+    const uint64_t new_end = adj.other;
+    if (edge_iso) {
+      // The new edge must not repeat within the path nor collide with
+      // edges already bound in the base embedding.
+      for (const ExpandState* p = &s; p->hops > 0; p = p->prev) {
+        if (p->edge == adj.edge_id) return;
+      }
+      if (s.base->ContainsIdAt(adj.edge_id, base_edge_columns)) return;
+      if (s.base->PathContains(adj.edge_id, base_path_columns, true)) return;
+    }
+    if (vertex_iso) {
+      // Path-local distinctness: the new end must not revisit an interior
+      // vertex, and must not return to the path's start — unless it is the
+      // bound end binding (cycle queries where the path's endpoints are the
+      // same query variable). Distinctness of the end against other vertex
+      // *columns* is enforced at emission by SatisfiesMorphism; path
+      // interiors are free, as they bind no query variable.
+      if (new_end == s.end) return;  // data self-loop revisits the end
+      for (const ExpandState* p = s.prev; p != nullptr && p->hops > 0;
+           p = p->prev) {
+        if (p->end == new_end) return;
+      }
+      const bool is_bound_end =
+          end_bound && s.base->IdAt(bound_end_column) == new_end;
+      if (!is_bound_end && new_end == s.base->IdAt(start_column)) return;
+    }
+    out->push_back({s.base, &s, adj.edge_id, new_end, s.hops + 1});
+  };
+
   // Initial frontier: every input embedding positioned at its start
   // binding with an empty path.
-  dataflow::Dataset<ExpandState> frontier = input.data.Map(
+  dfl::Dataset<ExpandState> frontier = input.data.Map(
       [start_column](const Embedding& e) {
-        ExpandState s;
-        s.base = e;
-        s.end = e.IdAt(start_column);
-        return s;
+        return ExpandState{&e, nullptr, 0, e.IdAt(start_column), 0};
       },
       "ExpandInit");
 
-  std::vector<dataflow::Dataset<Embedding>> emitted;
+  std::vector<dfl::Dataset<Embedding>> emitted;
+  std::vector<dfl::Dataset<ExpandState>> paths;
 
   if (lower_bound == 0) {
     emitted.push_back(frontier.FlatMap<Embedding>(
@@ -341,8 +471,8 @@ EmbeddingSet ExpandEmbeddings(const EmbeddingSet& input,
 
   common::CancellationToken& cancel = input.data.context()->cancellation();
   for (int k = 1; k <= upper_bound; ++k) {
-    // Each hop runs a full join stage, so one boundary check per hop
-    // bounds the loop's cancel latency to one stage.
+    // Each hop runs a full exchange and walk stage, so one boundary check
+    // per hop bounds the loop's cancel latency to one stage.
     if (cancel.CancelledOrExpired()) break;
     uint64_t frontier_size = 0;
     // cancellation: O(partitions) size walk, no per-record work.
@@ -351,56 +481,7 @@ EmbeddingSet ExpandEmbeddings(const EmbeddingSet& input,
     }
     if (frontier_size == 0) break;  // no more valid paths
 
-    // 1-hop expansion: join the frontier with the edge set on the current
-    // end vertex, enforcing morphism constraints on the grown path.
-    frontier = frontier.HashJoin<ExpandState>(
-        edges,
-        [](const ExpandState& s) { return s.end; },
-        [reverse](const epgm::Edge& e) {
-          return reverse ? e.target_id : e.source_id;
-        },
-        [=](const ExpandState& s, const epgm::Edge& e,
-            std::vector<ExpandState>* out) {
-          const uint64_t new_end = reverse ? e.source_id : e.target_id;
-          if (edge_iso) {
-            // The new edge must not repeat within the path nor collide
-            // with edges already bound in the base embedding.
-            for (size_t i = 0; i < s.via.size(); i += 2) {
-              if (s.via[i] == e.id) return;
-            }
-            if (s.base.ContainsIdAt(e.id, base_edge_columns)) return;
-            if (s.base.PathContains(e.id, base_path_columns, true)) return;
-          }
-          if (vertex_iso) {
-            // Path-local distinctness: the new end must not revisit an
-            // interior vertex, and must not return to the path's start —
-            // unless it is the bound end binding (cycle queries where the
-            // path's endpoints are the same query variable). Distinctness
-            // of the end against other vertex *columns* is enforced at
-            // emission by SatisfiesMorphism; path interiors are free, as
-            // they bind no query variable.
-            if (new_end == s.end) return;  // data self-loop revisits the end
-            for (size_t i = 1; i < s.via.size(); i += 2) {
-              if (s.via[i] == new_end) return;
-            }
-            const bool is_bound_end =
-                end_bound && s.base.IdAt(bound_end_column) == new_end;
-            if (!is_bound_end && new_end == s.base.IdAt(start_column)) {
-              return;
-            }
-          }
-          ExpandState next;
-          next.base = s.base;
-          next.via = s.via;
-          if (!next.via.empty()) {
-            // Close the previous hop with its intermediate vertex.
-            next.via.push_back(s.end);
-          }
-          next.via.push_back(e.id);
-          next.end = new_end;
-          out->push_back(std::move(next));
-        },
-        dataflow::JoinStrategy::kRepartition, "ExpandStep");
+    frontier = ExpandHop(frontier, adjacency, step, &paths);
 
     if (k >= lower_bound) {
       emitted.push_back(frontier.FlatMap<Embedding>(
@@ -410,8 +491,8 @@ EmbeddingSet ExpandEmbeddings(const EmbeddingSet& input,
           "ExpandEmit"));
     }
   }
-  dataflow::Dataset<Embedding> results =
-      dataflow::Dataset<Embedding>::Empty(input.data.context());
+  dfl::Dataset<Embedding> results =
+      dfl::Dataset<Embedding>::Empty(input.data.context());
   // cancellation: folds at most upper_bound per-hop result handles;
   // Union is a pure partition splice with no per-record work.
   for (const auto& part : emitted) results = results.Union(part);

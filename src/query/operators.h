@@ -6,6 +6,7 @@
 
 #include "cypher/query_graph.h"
 #include "dataflow/dataset.h"
+#include "epgm/adjacency_index.h"
 #include "epgm/elements.h"
 #include "query/embedding.h"
 #include "query/embedding_meta_data.h"
@@ -106,22 +107,29 @@ EmbeddingSet ValueJoinEmbeddings(const EmbeddingSet& left,
 
 // ExpandEmbeddings: evaluates a variable-length path expression by bulk
 // iteration (§3.1). Starting from the embeddings of `input` positioned at
-// `start_column`, repeatedly performs 1-hop expansions by joining the
-// frontier with `edges`, keeping only paths that satisfy the morphism
-// semantics, and unions an emission into the result once the iteration
-// count reaches `lower_bound`. Terminates at `upper_bound` or when no
-// valid path remains.
+// `start_column`, repeatedly performs 1-hop expansions of the frontier,
+// keeping only paths that satisfy the morphism semantics, and unions an
+// emission into the result once the iteration count reaches
+// `lower_bound`. Terminates at `upper_bound` or when no valid path
+// remains.
 //
-// `reverse` expands against edge direction (used when the plan binds the
-// path's target first). A non-negative `bound_end_column` closes a cycle:
+// Each hop exchanges the frontier on its end vertex and walks
+// `adjacency` locally in every partition — the edge set is never
+// re-shuffled or re-hashed. The cost model is charged as for the paper's
+// per-hop join of the frontier with the edge set (docs/INTERNALS.md,
+// "ExpandEmbeddings").
+//
+// An adjacency keyed by target id (`adjacency.reverse()`) expands against
+// edge direction (used when the plan binds the path's target first). A
+// non-negative `bound_end_column` closes a cycle:
 // no new column is added and the path end must equal the id at that
 // column; otherwise `result_meta` appends a fresh vertex column after the
 // path column. A `lower_bound` of 0 admits the empty path (end == start).
 EmbeddingSet ExpandEmbeddings(const EmbeddingSet& input,
-                              const dataflow::Dataset<epgm::Edge>& edges,
+                              const epgm::AdjacencyIndex& adjacency,
                               int start_column, int bound_end_column,
                               const EmbeddingMetaData& result_meta,
-                              int lower_bound, int upper_bound, bool reverse,
+                              int lower_bound, int upper_bound,
                               const MorphismSetting& semantics,
                               const std::vector<cypher::CnfClause>& residual =
                                   {});

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "ldbc/ldbc_generator.h"
 #include "ldbc/queries.h"
 #include "query/cypher_engine.h"
+#include "query/batch_operators.h"
 #include "query/exec/batch_layout.h"
 
 namespace gradoop::query {
@@ -222,6 +224,41 @@ TEST(BatchEngineTest, VerifierRejectsMismatchedBatchSize) {
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("batch layout"), std::string::npos)
       << s.message();
+}
+
+// Best-of-`reps` wall time of converting `rows` single-row batches back
+// to rows.
+double BatchesToRowsSeconds(int rows, int reps) {
+  auto ctx = dataflow::MakeContext();
+  EmbeddingMetaData meta;
+  meta.AddIdColumn("a", EntryType::kVertex);
+  std::vector<Embedding> data(rows);
+  for (int i = 0; i < rows; ++i) data[i].AppendId(static_cast<uint64_t>(i));
+  const BatchSet batches = RowsToBatches(
+      {dataflow::Dataset<Embedding>::FromVector(ctx, std::move(data)), meta},
+      /*batch_size=*/1);
+  double best = 1e9;
+  for (int r = 0; r < reps; ++r) {
+    const auto begin = std::chrono::steady_clock::now();
+    const EmbeddingSet converted = BatchesToRows(batches);
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - begin;
+    EXPECT_EQ(converted.data.Count(), static_cast<uint64_t>(rows));
+    best = std::min(best, elapsed.count());
+  }
+  return best;
+}
+
+TEST(BatchEngineTest, BatchesToRowsIsLinearInTheRowCount) {
+  // Growing a partition's output vector to the exact size on every batch
+  // makes n rows in 1-row batches cost O(n^2) moves, so doubling n
+  // quadruples the time. Linear conversion doubles it; 3x separates the
+  // two with room for timer noise.
+  const int n = 16384;
+  const double single = BatchesToRowsSeconds(n, 5);
+  const double twice = BatchesToRowsSeconds(2 * n, 5);
+  EXPECT_LT(twice, 3.0 * single)
+      << "n rows: " << single << " s, 2n rows: " << twice << " s";
 }
 
 }  // namespace

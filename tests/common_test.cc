@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "common/result.h"
@@ -104,6 +107,35 @@ TEST(RandomTest, ZipfIsSkewed) {
   // Rank 0 must dominate rank 50 by a wide margin.
   EXPECT_GT(counts[0], 10 * std::max(counts[50], 1));
   for (const auto& [k, v] : counts) EXPECT_LT(k, 100u);
+}
+
+// Reference Zipf sampler that rebuilds the CDF on every draw (what a
+// one-slot cache does whenever the (n, s) pair changes): same RNG draw,
+// same summation order.
+uint64_t ReferenceZipf(Random* rng, uint64_t n, double s) {
+  std::vector<double> cdf(n);
+  double sum = 0.0;
+  for (uint64_t i = 0; i < n; ++i) {
+    sum += 1.0 / std::pow(static_cast<double>(i + 1), s);
+    cdf[i] = sum;
+  }
+  for (uint64_t i = 0; i < n; ++i) cdf[i] /= sum;
+  const double u = rng->NextDouble();
+  return static_cast<uint64_t>(std::lower_bound(cdf.begin(), cdf.end(), u) -
+                               cdf.begin());
+}
+
+TEST(RandomTest, InterleavedZipfMatchesSingleSlotReference) {
+  Random cached(29), reference(29);
+  const std::pair<uint64_t, double> pairs[] = {
+      {1000, 1.0}, {37, 1.0}, {1000, 1.2}, {1, 1.0}};
+  for (int i = 0; i < 4000; ++i) {
+    const auto [n, s] = pairs[i % 4];
+    ASSERT_EQ(cached.NextZipf(n, s), ReferenceZipf(&reference, n, s))
+        << "draw " << i << " n=" << n << " s=" << s;
+  }
+  // The generators stayed in lock-step.
+  EXPECT_EQ(cached.NextUint64(), reference.NextUint64());
 }
 
 TEST(RandomTest, PowerLawDegreesInRangeAndSkewed) {

@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "common/random.h"
 #include "cypher/parser.h"
+#include "dataflow/partitioning_audit.h"
 #include "query/cypher_engine.h"
 #include "query/naive_matcher.h"
 
@@ -74,11 +78,14 @@ std::vector<NaiveBinding> Sorted(std::vector<NaiveBinding> v) {
 
 void ExpectEngineMatchesOracle(const RandomGraph& g, const std::string& query,
                                const MorphismSetting& semantics,
-                               const std::string& context) {
+                               const std::string& context,
+                               PlannerOptions::ExecutionEngine engine_kind =
+                                   PlannerOptions::ExecutionEngine::kRow) {
   auto graph = LogicalGraph::FromVectors(dataflow::MakeContext(),
                                          GraphHead(0, "G"), g.vertices,
                                          g.edges);
   CypherEngine engine(graph);
+  engine.planner_options().engine = engine_kind;
   auto result = engine.Execute(query, semantics);
   ASSERT_TRUE(result.ok()) << context << ": " << result.status();
 
@@ -182,6 +189,70 @@ INSTANTIATE_TEST_SUITE_P(
       return "s" + std::to_string(std::get<0>(info.param)) + "_seed" +
              std::to_string(std::get<1>(info.param));
     });
+
+// Variable-length expansion walks a per-graph adjacency index; these
+// cases cover its shapes — type alternation, untyped edges, a reverse
+// walk, a cycle closing on a bound end and a zero lower bound — under
+// both engines and both morphism semantics, with the partitioning audit
+// checking every walked frontier record's placement.
+const OracleCase kExpandQueries[] = {
+    {"alternation_1_3", "MATCH (a:Person)-[e:knows|likes*1..3]->(b) RETURN *"},
+    {"untyped_1_2", "MATCH (a:Person)-[e*1..2]->(b) RETURN *"},
+    {"reverse_1_2",
+     "MATCH (a)-[e:knows*1..2]->(b:Person {name: 'A'}) RETURN *"},
+    {"bound_end_cycle",
+     "MATCH (a:Person)-[e1:knows]->(b), (b)-[e:knows|likes*1..3]->(a) "
+     "RETURN *"},
+    {"zero_lower_bound", "MATCH (a:Person)-[e*0..2]->(b:Person) RETURN *"},
+};
+
+TEST(OracleExpandTest, BothEnginesMatchNaiveMatcher) {
+  setenv("GRADOOP_AUDIT_PARTITIONING", "1", 1);
+  dataflow::PartitioningAuditStats::Instance().Reset();
+  const std::pair<const char*, MorphismSetting> settings[] = {
+      {"homo", MorphismSetting::FullHomomorphism()},
+      {"iso", MorphismSetting::FullIsomorphism()},
+  };
+  const std::pair<const char*, PlannerOptions::ExecutionEngine> engines[] = {
+      {"row", PlannerOptions::ExecutionEngine::kRow},
+      {"batch", PlannerOptions::ExecutionEngine::kBatch},
+  };
+  for (const uint64_t seed : {4u, 8u, 13u}) {
+    RandomGraph g = MakeRandomGraph(seed, 12 + seed % 5, 26 + seed % 7);
+    // Self-loops and parallel edges must be walked like any other edge.
+    g.edges.emplace_back(900, "knows", 1, 1);
+    g.edges.emplace_back(901, "knows", 1, 2);
+    g.edges.emplace_back(902, "knows", 1, 2);
+    for (const OracleCase& c : kExpandQueries) {
+      for (const auto& [setting_name, semantics] : settings) {
+        for (const auto& [engine_name, engine] : engines) {
+          ExpectEngineMatchesOracle(g, c.query, semantics,
+                                    std::string(c.name) +
+                                        " seed=" + std::to_string(seed) + " " +
+                                        setting_name + " " + engine_name,
+                                    engine);
+        }
+      }
+    }
+  }
+  unsetenv("GRADOOP_AUDIT_PARTITIONING");
+  EXPECT_GT(dataflow::PartitioningAuditStats::Instance().records_checked(),
+            0u);
+  EXPECT_EQ(dataflow::PartitioningAuditStats::Instance().misplaced_records(),
+            0u);
+}
+
+TEST(OracleExpandTest, ReverseCaseWalksAgainstEdgeDirection) {
+  RandomGraph g = MakeRandomGraph(4, 16, 30);
+  auto graph = LogicalGraph::FromVectors(dataflow::MakeContext(),
+                                         GraphHead(0, "G"), g.vertices,
+                                         g.edges);
+  CypherEngine engine(graph);
+  auto explain = engine.Explain(kExpandQueries[2].query);
+  ASSERT_TRUE(explain.ok()) << explain.status();
+  EXPECT_NE(explain.value().find(", reverse)"), std::string::npos)
+      << explain.value();
+}
 
 // Alternative plans must produce identical results (plan choice cannot
 // change semantics).

@@ -106,8 +106,9 @@ EmbeddingSet Expand(const EmbeddingSet& input,
   EmbeddingMetaData meta = input.meta;
   meta.AddIdColumn(path_var, EntryType::kPath);
   if (bound_end_column < 0) meta.AddIdColumn(end, EntryType::kVertex);
-  return ExpandEmbeddings(input, edges, start_column, bound_end_column, meta,
-                          lower, upper, reverse, semantics);
+  return ExpandEmbeddings(input, epgm::AdjacencyIndex::Build(edges, reverse),
+                          start_column, bound_end_column, meta, lower, upper,
+                          semantics);
 }
 
 std::vector<uint64_t> SortedIds(const EmbeddingSet& set,
