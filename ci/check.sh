@@ -162,15 +162,22 @@ if [[ "${ONLY}" == "all" || "${ONLY}" == "explain" ]]; then
     echo "cypher_explain: example plan is missing mem= annotations" >&2
     exit 1
   fi
-  # Batch engine (docs/vectorized.md): every compiled operator carries a
-  # verifier-checked batch-layout claim, rendered as batch=<n>; pin one
-  # example EXPLAIN so an annotation or rendering regression cannot slip
-  # through silently.
+  # Batch engine (docs/vectorized.md): EXPLAIN renders the batch size
+  # the kernels build to on every operator as batch=<n>; pin one example
+  # EXPLAIN so a rendering regression cannot slip through silently, and
+  # pin that --batch-size flows from the options into the rendering.
   if ! "${OUT}/plain/tools/cypher_explain" --engine batch \
       "${ROOT}/examples/queries/quickstart.cypher" \
       | grep -q "batch="
   then
     echo "cypher_explain: example plan is missing batch= annotations" >&2
+    exit 1
+  fi
+  if ! "${OUT}/plain/tools/cypher_explain" --engine batch --batch-size 7 \
+      "${ROOT}/examples/queries/quickstart.cypher" \
+      | grep -q "batch=7"
+  then
+    echo "cypher_explain: --batch-size 7 does not render as batch=7" >&2
     exit 1
   fi
   # ...and the elisions must survive their runtime audit: execute the

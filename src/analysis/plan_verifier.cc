@@ -6,9 +6,6 @@
 #include <vector>
 
 #include "analysis/type_check.h"
-#include "query/exec/interruptibility.h"
-#include "query/exec/memory_bound.h"
-#include "query/exec/partitioning.h"
 
 namespace gradoop::analysis {
 
@@ -545,8 +542,7 @@ Status CheckCompiledClauses(const PhysicalOperator& op,
 }
 
 Status VerifyCompiledNode(const cypher::QueryGraph& qg,
-                          const PhysicalOperator& op, int num_workers,
-                          int batch_size, int depth) {
+                          const PhysicalOperator& op, int depth) {
   if (depth > 4096) {
     return Status::Internal(
         "PlanVerifier: compiled plan exceeds maximum depth (cycle?)");
@@ -555,8 +551,7 @@ Status VerifyCompiledNode(const cypher::QueryGraph& qg,
     if (child == nullptr) {
       return CompiledViolation(op, "null child operator");
     }
-    GRADOOP_RETURN_IF_ERROR(
-        VerifyCompiledNode(qg, *child, num_workers, batch_size, depth + 1));
+    GRADOOP_RETURN_IF_ERROR(VerifyCompiledNode(qg, *child, depth + 1));
   }
   if (!std::isfinite(op.estimated_cardinality()) ||
       op.estimated_cardinality() < 0.0) {
@@ -574,83 +569,17 @@ Status VerifyCompiledNode(const cypher::QueryGraph& qg,
   }
   GRADOOP_RETURN_IF_ERROR(CheckCompiledClauses(op, op.fused_clauses(), meta));
 
-  // Partitioning claim: whatever the compiler stamped must be re-derivable
-  // from the operator kind, keys, strategy and the children's claims. A
-  // claim the transfer functions cannot reproduce would let an unsound
-  // shuffle elision through, so it fails verification outright.
-  if (op.has_output_partitioning()) {
-    const query::exec::PartitioningProperty derived =
-        query::exec::DerivePartitioning(op);
-    if (!(op.output_partitioning() == derived)) {
-      return CompiledViolation(
-          op, "claimed output partitioning " +
-                  op.output_partitioning().ToString() +
-                  " is not derivable (transfer function yields " +
-                  derived.ToString() + ")");
-    }
-  }
-
-  // Memory claim: mandatory (admission control and the runtime audit both
-  // consume it, so a plan without one never reaches execution) and must be
-  // exactly what the transfer functions yield from the operator and the
-  // children's claims — a claim the verifier cannot reproduce would let an
-  // undersized bound through admission.
-  if (!op.has_memory_bound()) {
-    return CompiledViolation(op,
-                             "missing memory bound claim (plan was not "
-                             "annotated by PlanCompiler)");
-  }
-  const query::exec::MemoryBound derived_mem =
-      query::exec::DeriveMemoryBound(op, num_workers);
-  if (!(op.memory_bound() == derived_mem)) {
+  // Every kernel loop must checkpoint at a bounded interval: deadlines
+  // and the cancellation audit rely on it. A default-constructed
+  // PlanProperties is unbounded too, so this also rejects a tree that
+  // skipped DerivePlanProperties.
+  const query::exec::Interruptibility& poll =
+      op.properties().interruptibility;
+  if (!poll.bounded()) {
     return CompiledViolation(
-        op, "claimed memory bound [" + op.memory_bound().ToString() +
-                "] is not derivable (transfer function yields [" +
-                derived_mem.ToString() + "])");
-  }
-
-  // Batch-layout claim: mandatory like the memory bound (the vectorized
-  // kernels materialize exactly this columnar shape, and a tampered
-  // layout would make them read id payloads as path-pool offsets) and
-  // must be exactly what DeriveBatchLayout yields from the output meta.
-  if (!op.has_batch_layout()) {
-    return CompiledViolation(op,
-                             "missing batch layout claim (plan was not "
-                             "annotated by PlanCompiler)");
-  }
-  const query::exec::BatchLayout derived_layout =
-      query::exec::DeriveBatchLayout(meta, batch_size);
-  if (!(op.batch_layout() == derived_layout)) {
-    return CompiledViolation(
-        op, "claimed batch layout [" + op.batch_layout().ToString() +
-                "] is not derivable (transfer function yields [" +
-                derived_layout.ToString() + "])");
-  }
-
-  // Interruptibility claim: mandatory — deadline propagation and the
-  // cancellation audit both rely on every kernel loop checkpointing at
-  // the claimed interval. An unbounded interval (a loop with no poll,
-  // e.g. an Expand recursion or hash-build loop that never checks) is
-  // rejected outright; a bounded claim must be exactly what the
-  // transfer function yields.
-  if (!op.has_interruptibility()) {
-    return CompiledViolation(op,
-                             "missing interruptibility claim (plan was "
-                             "not annotated by PlanCompiler)");
-  }
-  if (!op.interruptibility().bounded()) {
-    return CompiledViolation(
-        op,
-        "unbounded checkpoint interval [" + op.interruptibility().ToString() +
-            "] — a kernel loop processes rows without a cancellation poll");
-  }
-  const query::exec::Interruptibility derived_poll =
-      query::exec::DeriveInterruptibility(op);
-  if (!(op.interruptibility() == derived_poll)) {
-    return CompiledViolation(
-        op, "claimed interruptibility [" + op.interruptibility().ToString() +
-                "] is not derivable (transfer function yields [" +
-                derived_poll.ToString() + "])");
+        op, "unbounded checkpoint interval [" + poll.ToString() +
+                "] — a kernel loop processes rows without a cancellation "
+                "poll, or the plan skipped DerivePlanProperties");
   }
 
   switch (op.op_kind()) {
@@ -709,37 +638,6 @@ Status VerifyCompiledNode(const cypher::QueryGraph& qg,
         }
       }
       GRADOOP_RETURN_IF_ERROR(CheckMergedLayout(op, left, right, meta));
-      // Shuffle elision must be justified: repartition strategy, a
-      // non-empty key, and an elided side whose child claims exactly the
-      // partitioning the elision relies on.
-      if (join.elide_left_shuffle() || join.elide_right_shuffle()) {
-        if (join.strategy() != dataflow::JoinStrategy::kRepartition) {
-          return CompiledViolation(
-              op, "shuffle elision on a non-repartition join");
-        }
-        if (join.join_variables().empty()) {
-          return CompiledViolation(op, "shuffle elision on a cartesian join");
-        }
-        const bool sides[2] = {join.elide_left_shuffle(),
-                               join.elide_right_shuffle()};
-        for (int i = 0; i < 2; ++i) {
-          if (!sides[i]) continue;
-          const auto& child = *op.children()[i];
-          if (!child.has_output_partitioning() ||
-              !query::exec::ElidesShuffle(
-                  child.output_partitioning(),
-                  query::exec::PartitionKeyKind::kIdColumns,
-                  join.join_variables())) {
-            return CompiledViolation(
-                op, std::string(i == 0 ? "left" : "right") +
-                        " shuffle elided but the input claims " +
-                        (child.has_output_partitioning()
-                             ? child.output_partitioning().ToString()
-                             : std::string("no partitioning")) +
-                        ", not hash on the join key");
-          }
-        }
-      }
       break;
     }
     case PhysOpKind::kValueJoin: {
@@ -768,32 +666,6 @@ Status VerifyCompiledNode(const cypher::QueryGraph& qg,
         }
       }
       GRADOOP_RETURN_IF_ERROR(CheckMergedLayout(op, left, right, meta));
-      if (join.elide_left_shuffle() || join.elide_right_shuffle()) {
-        if (join.strategy() != dataflow::JoinStrategy::kRepartition) {
-          return CompiledViolation(
-              op, "shuffle elision on a non-repartition value join");
-        }
-        const bool sides[2] = {join.elide_left_shuffle(),
-                               join.elide_right_shuffle()};
-        for (int i = 0; i < 2; ++i) {
-          if (!sides[i]) continue;
-          const auto& child = *op.children()[i];
-          if (!child.has_output_partitioning() ||
-              !query::exec::ElidesShuffle(
-                  child.output_partitioning(),
-                  query::exec::PartitionKeyKind::kPropertyValues,
-                  query::exec::ValueKeySideTokens(join.key_descriptions(),
-                                                  /*right_side=*/i == 1))) {
-            return CompiledViolation(
-                op, std::string(i == 0 ? "left" : "right") +
-                        " shuffle elided but the input claims " +
-                        (child.has_output_partitioning()
-                             ? child.output_partitioning().ToString()
-                             : std::string("no partitioning")) +
-                        ", not hash on the value key");
-          }
-        }
-      }
       break;
     }
     case PhysOpKind::kExpand: {
@@ -867,9 +739,8 @@ Status VerifyCompiledNode(const cypher::QueryGraph& qg,
 }  // namespace
 
 Status VerifyCompiledPlan(const cypher::QueryGraph& query_graph,
-                          const query::exec::PhysicalOperator& root,
-                          int num_workers, int batch_size) {
-  return VerifyCompiledNode(query_graph, root, num_workers, batch_size, 0);
+                          const query::exec::PhysicalOperator& root) {
+  return VerifyCompiledNode(query_graph, root, 0);
 }
 
 }  // namespace gradoop::analysis

@@ -95,18 +95,13 @@ Status VerifyCandidatePlan(const cypher::QueryGraph& query_graph,
 // merge layouts preserve the left columns while rebasing the right,
 // expansions start from a vertex column and append the path (and fresh
 // end) columns, and all fused filter clauses resolve to projected
-// property columns. Partitioning, memory and batch-layout claims must
-// all be re-derivable from the operator alone; memory and batch-layout
-// claims are mandatory on every operator (a missing one means the plan
-// skipped PlanCompiler's annotation pass, so nothing downstream —
-// admission, audit, the vectorized kernels — can trust it).
-// `num_workers` must match the CompileOptions::num_workers the plan was
-// compiled with, and `batch_size` its CompileOptions::batch_size. Run by
-// the engine between compilation and execution.
+// property columns. Every operator's checkpoint interval must be
+// bounded, which also rejects a tree whose PlanProperties were never
+// derived. The properties themselves are checked at run time by the
+// GRADOOP_AUDIT_* audits, not here. Run by the engine between
+// compilation and execution.
 Status VerifyCompiledPlan(const cypher::QueryGraph& query_graph,
-                          const query::exec::PhysicalOperator& root,
-                          int num_workers = 4,
-                          int batch_size = query::exec::kDefaultBatchSize);
+                          const query::exec::PhysicalOperator& root);
 
 // Stable operator name for diagnostics ("ScanVertices", "JoinEmbeddings",
 // ...).

@@ -31,8 +31,8 @@ enum class JoinStrategy {
 // (query/exec/partitioning.h): a flagged side is provably already
 // hash-partitioned on the join key, so its shuffle is adopted in place —
 // zero bytes enter the exchange and zero network time is charged. The
-// claims are trusted here; VerifyCompiledPlan re-derives them statically
-// and GRADOOP_AUDIT_PARTITIONING re-hashes every record at runtime.
+// claims are trusted here; GRADOOP_AUDIT_PARTITIONING re-hashes every
+// record at runtime.
 struct JoinShuffleHints {
   bool left_prepartitioned = false;
   bool right_prepartitioned = false;

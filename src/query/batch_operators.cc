@@ -12,7 +12,6 @@
 
 #include "common/cancellation.h"
 #include "dataflow/partitioning_audit.h"
-#include "query/exec/batch_layout.h"
 
 namespace gradoop::query {
 
@@ -77,10 +76,17 @@ bool AllDistinct(std::vector<uint64_t>* ids) {
   return std::adjacent_find(ids->begin(), ids->end()) == ids->end();
 }
 
-// Column flags of a fresh batch for `meta` — the same derivation the
-// compiler stamps as the operator's BatchLayout claim.
+// Column flags of a fresh batch for `meta`: only columns bound to a path
+// variable hold PATH entries. A merged layout's duplicate column of a
+// shared variable stays kIdFlag — shared variables are join keys, and
+// path bindings cannot be joined on.
 std::vector<uint8_t> FlagsOf(const EmbeddingMetaData& meta) {
-  return exec::DeriveBatchLayout(meta, /*batch_size=*/0).column_flags;
+  std::vector<uint8_t> flags(static_cast<size_t>(meta.id_column_count()),
+                             Embedding::kIdFlag);
+  for (const int c : meta.PathColumns()) {
+    flags[static_cast<size_t>(c)] = Embedding::kPathFlag;
+  }
+  return flags;
 }
 
 // Hoisted morphism plan: the row engine re-reads the meta's column lists

@@ -39,8 +39,26 @@ exec::CompileOptions CompileOptionsFrom(const PlannerOptions& planner,
   options.elide_shuffles = planner.elide_shuffles;
   options.num_workers = num_workers;
   options.statistics = statistics;
-  options.batch_size = planner.batch_size;
   return options;
+}
+
+// Planner options no execution can honor, rejected before parsing.
+Status ValidatePlannerOptions(const PlannerOptions& options) {
+  if (options.batch_size <= 0) {
+    return Status::InvalidArgument(
+        "PlannerOptions::batch_size must be positive, got " +
+        std::to_string(options.batch_size));
+  }
+  return Status::Ok();
+}
+
+// The batch=<n> EXPLAIN renders on every operator under the batch
+// engine; row-engine output carries none, so its goldens stay
+// byte-stable.
+int RenderedBatchSize(const PlannerOptions& options) {
+  return options.engine == PlannerOptions::ExecutionEngine::kBatch
+             ? options.batch_size
+             : 0;
 }
 
 // GQL007 admission gate: when the engine carries a memory budget, a plan
@@ -49,15 +67,13 @@ exec::CompileOptions CompileOptionsFrom(const PlannerOptions& planner,
 Status CheckMemoryAdmission(const std::string& query,
                             const exec::PhysicalOperator& root,
                             uint64_t budget_bytes) {
-  if (budget_bytes == 0 || !root.has_memory_bound() ||
-      root.memory_bound().peak_bytes <= budget_bytes) {
-    return Status::Ok();
-  }
+  const uint64_t peak_bytes = root.properties().memory.peak_bytes;
+  if (budget_bytes == 0 || peak_bytes <= budget_bytes) return Status::Ok();
   analysis::Diagnostic diag;
   diag.code = analysis::kCodeMemoryBudgetExceeded;
   diag.severity = analysis::Severity::kError;
   diag.message = "plan's static peak-memory bound (" +
-                 std::to_string(root.memory_bound().peak_bytes) +
+                 std::to_string(peak_bytes) +
                  " bytes) exceeds max_query_memory_bytes (" +
                  std::to_string(budget_bytes) + " bytes)";
   // The bound belongs to the whole plan, so the diagnostic anchors at the
@@ -107,13 +123,12 @@ double ObservePlanQuality(const exec::PhysicalOperator& op,
       static_cast<double>(op.stats().actual_rows));
   metrics.ObserveWith("plan.qerror", max_qerror,
                       telemetry::MetricsRegistry::RatioBounds());
-  if (op.has_memory_bound() && op.memory_bound().peak_bytes > 0 &&
-      op.stats().actual_peak_bytes > 0) {
-    metrics.ObserveWith(
-        "plan.mem.accuracy",
-        static_cast<double>(op.stats().actual_peak_bytes) /
-            static_cast<double>(op.memory_bound().peak_bytes),
-        telemetry::MetricsRegistry::RatioBounds());
+  const uint64_t claimed_peak = op.properties().memory.peak_bytes;
+  if (claimed_peak > 0 && op.stats().actual_peak_bytes > 0) {
+    metrics.ObserveWith("plan.mem.accuracy",
+                        static_cast<double>(op.stats().actual_peak_bytes) /
+                            static_cast<double>(claimed_peak),
+                        telemetry::MetricsRegistry::RatioBounds());
   }
   for (const exec::PhysicalOperatorPtr& child : op.children()) {
     const double child_qerror = ObservePlanQuality(*child, metrics);
@@ -140,6 +155,7 @@ common::CancellationToken& CypherEngine::cancellation() {
 
 Result<CypherMatchResult> CypherEngine::Execute(
     const std::string& query, const MorphismSetting& semantics) {
+  GRADOOP_RETURN_IF_ERROR(ValidatePlannerOptions(planner_options_));
   if (exec::CancellationAuditEnabled() && audit_inject_checkpoint_ == 0) {
     // Audit probe (docs/cancellation.md): run the query once with the
     // token armed to trip at a randomized checkpoint count. If the trip
@@ -278,18 +294,17 @@ Result<CypherMatchResult> CypherEngine::ExecuteInternal(
   end_phase("plan");
   if (cancel.CancelledOrExpired()) return cancelled("plan", "", 0);
   // Lower to physical operators: the compiler resolves every column
-  // layout, join key and property slot once; the second gate asserts the
-  // compiled layouts are mutually consistent before anything runs.
+  // layout, join key and property slot once and derives the plan
+  // properties; the second gate asserts the compiled layouts are mutually
+  // consistent before anything runs.
   const int num_workers = graph_.vertices().context()->num_workers();
   exec::PlanCompiler compiler(
       qg, semantics,
       CompileOptionsFrom(planner_options_, num_workers, &stats_));
   GRADOOP_ASSIGN_OR_RETURN(exec::PhysicalOperatorPtr physical,
                            compiler.Compile(plan));
-  GRADOOP_RETURN_IF_ERROR(analysis::VerifyCompiledPlan(
-      qg, *physical, num_workers, planner_options_.batch_size));
+  GRADOOP_RETURN_IF_ERROR(analysis::VerifyCompiledPlan(qg, *physical));
   // Admission control: the static bound gates execution (docs/memory.md).
-  // This runs after the verifier, so the bound it trusts was re-derived.
   GRADOOP_RETURN_IF_ERROR(
       CheckMemoryAdmission(query, *physical, max_query_memory_bytes_));
   end_phase("compile");
@@ -298,7 +313,8 @@ Result<CypherMatchResult> CypherEngine::ExecuteInternal(
   BatchScanCache batch_scan_cache;
   const bool share_scans = planner_options_.share_scan_results;
   exec::ExecEnv env{&indexed_, share_scans ? &scan_cache : nullptr,
-                    share_scans ? &batch_scan_cache : nullptr};
+                    share_scans ? &batch_scan_cache : nullptr,
+                    planner_options_.batch_size};
   // Per-query accounting window: reset-enable around the execution so the
   // peaks belong to this query alone; the guard disables on every exit
   // path (a failed Open/Execute must not leave a stale enabled accountant
@@ -413,6 +429,7 @@ Result<uint64_t> CypherEngine::Count(const std::string& query,
 
 Result<std::string> CypherEngine::Explain(const std::string& query,
                                           const MorphismSetting& semantics) {
+  GRADOOP_RETURN_IF_ERROR(ValidatePlannerOptions(planner_options_));
   GRADOOP_ASSIGN_OR_RETURN(cypher::CypherQuery ast,
                            cypher::ParseCypher(query));
   analysis::AnalyzerOptions analyzer_options;
@@ -440,17 +457,10 @@ Result<std::string> CypherEngine::Explain(const std::string& query,
       CompileOptionsFrom(planner_options_, num_workers, &stats_));
   GRADOOP_ASSIGN_OR_RETURN(exec::PhysicalOperatorPtr physical,
                            compiler.Compile(plan));
-  GRADOOP_RETURN_IF_ERROR(analysis::VerifyCompiledPlan(
-      qg, *physical, num_workers, planner_options_.batch_size));
+  GRADOOP_RETURN_IF_ERROR(analysis::VerifyCompiledPlan(qg, *physical));
   GRADOOP_RETURN_IF_ERROR(
       CheckMemoryAdmission(query, *physical, max_query_memory_bytes_));
-  // Under the batch engine EXPLAIN additionally renders each operator's
-  // batch-layout claim (batch=<n>); row-engine output is unchanged so
-  // existing goldens stay byte-stable.
-  exec::PhysicalOperator::RenderOptions render;
-  render.batch_layout =
-      planner_options_.engine == PlannerOptions::ExecutionEngine::kBatch;
-  return physical->ToString(render);
+  return physical->ToString({.batch_size = RenderedBatchSize(planner_options_)});
 }
 
 Result<std::string> CypherEngine::ExplainAnalyze(
@@ -460,30 +470,9 @@ Result<std::string> CypherEngine::ExplainAnalyze(
   if (result.physical == nullptr) {
     return std::string("EmptyResult (unsatisfiable)\n");
   }
-  return result.physical->ToString(
-      {.actuals = true,
-       .timing = true,
-       .batch_layout = planner_options_.engine ==
-                       PlannerOptions::ExecutionEngine::kBatch});
-}
-
-Result<EmbeddingSet> ExecutePlan(const PlanNodePtr& plan,
-                                 const cypher::QueryGraph& query_graph,
-                                 const epgm::IndexedLogicalGraph& graph,
-                                 const MorphismSetting& semantics,
-                                 ScanCache* scan_cache) {
-  // Passes off: callers hand-build logical plans and expect them to run
-  // verbatim, with the full per-element projections.
-  exec::CompileOptions options;
-  options.fuse_filters = false;
-  options.prune_properties = false;
-  options.share_scans = scan_cache != nullptr;
-  exec::PlanCompiler compiler(query_graph, semantics, options);
-  GRADOOP_ASSIGN_OR_RETURN(exec::PhysicalOperatorPtr root,
-                           compiler.Compile(plan));
-  exec::ExecEnv env{&graph, scan_cache};
-  GRADOOP_RETURN_IF_ERROR(root->Open(env));
-  return root->Execute(env);
+  return result.physical->ToString({.actuals = true,
+                                    .timing = true,
+                                    .batch_size = RenderedBatchSize(planner_options_)});
 }
 
 namespace {

@@ -97,7 +97,9 @@ class CypherEngine {
 
   // Parses, plans, compiles and executes `query`, returning the
   // embeddings plus the logical and compiled plans. The primary entry
-  // point for benchmarks and tests.
+  // point for benchmarks and tests. Planner options the engine cannot
+  // run with (a non-positive batch_size) fail with InvalidArgument, here
+  // and in Explain().
   Result<CypherMatchResult> Execute(
       const std::string& query,
       const MorphismSetting& semantics = MorphismSetting::Neo4j());
@@ -149,16 +151,6 @@ class CypherEngine {
   Random audit_random_;
   uint64_t audit_inject_checkpoint_ = 0;
 };
-
-// Compatibility wrapper for tests that construct logical plans manually:
-// compiles `plan` with default options (scan sharing iff `scan_cache` is
-// non-null) and runs the compiled operators over `graph`. The engine
-// itself goes through exec::PlanCompiler directly.
-Result<EmbeddingSet> ExecutePlan(const PlanNodePtr& plan,
-                                 const cypher::QueryGraph& query_graph,
-                                 const epgm::IndexedLogicalGraph& graph,
-                                 const MorphismSetting& semantics,
-                                 ScanCache* scan_cache = nullptr);
 
 // Materializes a match collection from final embeddings (Definition 2.4).
 epgm::GraphCollection BuildMatchCollection(

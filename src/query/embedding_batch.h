@@ -39,7 +39,7 @@ class EmbeddingBatch {
 
   // A batch with `column_flags[c]` (Embedding::kIdFlag / kPathFlag) id
   // columns and `property_columns` property columns, matching the
-  // operator's compiled BatchLayout claim.
+  // operator's compiled EmbeddingMetaData.
   EmbeddingBatch(std::vector<uint8_t> column_flags, int property_columns)
       : cols_(std::make_shared<Columns>()) {
     cols_->flags = std::move(column_flags);
@@ -200,6 +200,11 @@ class EmbeddingBatch {
   std::vector<uint32_t> selection_;
   bool has_selection_ = false;
 };
+
+namespace exec {
+// Rows per EmbeddingBatch unless the engine/tooling overrides it.
+inline constexpr int kDefaultBatchSize = 1024;
+}  // namespace exec
 
 }  // namespace gradoop::query
 

@@ -36,15 +36,15 @@ Interruptibility DeriveInterruptibility(const PhysicalOperator& op) {
       self.batches = kKernelCheckpointBatches;
       break;
   }
-  // Worst interval in the subtree wins. A child without a claim proves
-  // nothing about its loops, so the subtree is unbounded.
+  // Worst interval in the subtree wins. A child whose properties were
+  // never derived is unbounded, and so is the subtree.
   for (const PhysicalOperatorPtr& child : op.children()) {
-    if (child == nullptr || !child->has_interruptibility() ||
-        !child->interruptibility().bounded()) {
+    if (child == nullptr || !child->properties().interruptibility.bounded()) {
       return Interruptibility{};  // unbounded
     }
-    self.rows = std::max(self.rows, child->interruptibility().rows);
-    self.batches = std::max(self.batches, child->interruptibility().batches);
+    self.rows = std::max(self.rows, child->properties().interruptibility.rows);
+    self.batches =
+        std::max(self.batches, child->properties().interruptibility.batches);
   }
   return self;
 }
@@ -85,9 +85,7 @@ void AuditCancelledQuery(const PhysicalOperator& root,
   // breaking. The allowance scales with the claimed interval and the
   // execution parallelism; a loop that skips its claimed checkpoints
   // shifts detection to later (coarser) polls and breaches it.
-  const Interruptibility claim = root.has_interruptibility()
-                                     ? root.interruptibility()
-                                     : Interruptibility{1, 1};
+  const Interruptibility claim = root.properties().interruptibility;
   const uint64_t claimed_interval = std::max<uint64_t>(
       1, std::max(claim.rows, claim.batches));
   const uint64_t parallelism = static_cast<uint64_t>(

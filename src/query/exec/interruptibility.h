@@ -17,13 +17,13 @@ class PhysicalOperator;
 // Static interruptibility analysis over compiled physical plans
 // (docs/cancellation.md).
 //
-// Every operator carries an Interruptibility claim: the maximum number
-// of rows (row engine) / batches (batch engine) its subtree processes
-// between two cancellation checkpoints — the CheckCancelled() polls the
-// kernel loops make against the ExecutionContext's CancellationToken.
-// PlanCompiler stamps the claim bottom-up from per-operator transfer
-// functions (like memory_bound.h); VerifyCompiledPlan re-derives every
-// claim independently, rejecting missing or tampered claims and any
+// Every operator carries an Interruptibility in its PlanProperties: the
+// maximum number of rows (row engine) / batches (batch engine) its
+// subtree processes between two cancellation checkpoints — the
+// CheckCancelled() polls the kernel loops make against the
+// ExecutionContext's CancellationToken. DerivePlanProperties
+// (plan_compiler.h) derives it bottom-up from per-operator transfer
+// functions (like memory_bound.h); VerifyCompiledPlan rejects any
 // operator whose checkpoint interval is unbounded (a kernel loop with no
 // poll — e.g. an Expand recursion or hash-build loop that never checks).
 // The GRADOOP_AUDIT_CANCELLATION runtime audit closes the loop by
@@ -41,7 +41,7 @@ class PhysicalOperator;
 inline constexpr uint64_t kKernelCheckpointRows = 1;
 inline constexpr uint64_t kKernelCheckpointBatches = 1;
 
-// One operator's interruptibility claim for the subtree rooted here.
+// One operator's interruptibility for the subtree rooted here.
 // 0 in either field means unbounded — some loop in the subtree has no
 // checkpoint — which VerifyCompiledPlan rejects outright.
 struct Interruptibility {
@@ -58,9 +58,9 @@ struct Interruptibility {
 
 // Transfer function: the interruptibility of `op`'s subtree, composed
 // from the operator kind's own checkpoint stride and the children's
-// CLAIMED intervals (worst interval wins; a child without a claim — a
-// hand-assembled tree — makes the subtree unbounded, since nothing
-// proves its loops poll). Pure — never reads the operator's own claim.
+// derived intervals (worst interval wins; a child whose properties were
+// never derived makes the subtree unbounded, since nothing proves its
+// loops poll). Pure — never reads the operator's own properties.
 Interruptibility DeriveInterruptibility(const PhysicalOperator& op);
 
 // --- runtime audit ----------------------------------------------------

@@ -28,15 +28,15 @@ uint64_t RowsOf(const PhysicalOperator& op, bool use_actuals) {
 }
 
 // Per-operator derivation, shared between the compile-time transfer
-// function (children's CLAIMED bounds, estimated rows) and the audit
-// model (children re-derived recursively, actual rows, claimed row
-// widths). The split keeps the two modes provably the same shape.
+// function (children's derived bounds, estimated rows) and the audit
+// model (children re-derived recursively, actual rows). The split keeps
+// the two modes provably the same shape.
 MemoryBound DeriveNode(const PhysicalOperator& op, int num_workers,
                        bool use_actuals) {
   const uint64_t p = num_workers > 0 ? static_cast<uint64_t>(num_workers) : 1;
 
-  // Children's bounds: claims at compile time, recursive re-derivation at
-  // audit time.
+  // Children's bounds: their properties at compile time, recursive
+  // re-derivation at audit time.
   std::vector<MemoryBound> child_bounds;
   std::vector<uint64_t> child_rows;
   child_bounds.reserve(op.children().size());
@@ -47,23 +47,14 @@ MemoryBound DeriveNode(const PhysicalOperator& op, int num_workers,
       child_rows.push_back(0);
       continue;
     }
-    if (use_actuals) {
-      child_bounds.push_back(DeriveNode(*child, num_workers, true));
-    } else if (child->has_memory_bound()) {
-      child_bounds.push_back(child->memory_bound());
-    } else {
-      child_bounds.emplace_back();
-    }
+    child_bounds.push_back(use_actuals
+                               ? DeriveNode(*child, num_workers, true)
+                               : child->properties().memory);
     child_rows.push_back(RowsOf(*child, use_actuals));
   }
 
   MemoryBound b;
-  // At audit time the CLAIMED row width is kept even though the row count
-  // is measured: a tampered (zeroed) claim must shrink the allowance, and
-  // the audit exists to validate exactly this width model.
-  b.row_bytes = (use_actuals && op.has_memory_bound())
-                    ? op.memory_bound().row_bytes
-                    : EstimateRowBytes(op.output_meta());
+  b.row_bytes = EstimateRowBytes(op.output_meta());
   b.output_bytes = b.row_bytes * RowsOf(op, use_actuals);
 
   // Operator-specific transient state.
@@ -148,8 +139,7 @@ void AuditNode(const PhysicalOperator& op, int num_workers, double slack,
   }
   if (!op.stats().executed) return;
   ++*operators_checked;
-  const uint64_t claimed =
-      op.has_memory_bound() ? op.memory_bound().peak_bytes : 0;
+  const uint64_t claimed = op.properties().memory.peak_bytes;
   const MemoryBound at_actuals =
       DeriveMemoryBoundAtActuals(op, num_workers);
   const uint64_t model = std::max(claimed, at_actuals.peak_bytes);

@@ -18,16 +18,15 @@ class PhysicalOperator;
 // Static memory-footprint analysis over compiled physical plans
 // (docs/memory.md).
 //
-// Every operator carries a MemoryBound claim: how many resident bytes its
-// execution is expected to cost, derived bottom-up by per-operator
-// transfer functions exactly like the partitioning properties
-// (query/exec/partitioning.h). PlanCompiler stamps the claim;
-// VerifyCompiledPlan re-derives it independently and rejects tampered or
-// missing claims; CypherEngine rejects plans whose root peak exceeds
-// max_query_memory_bytes before anything executes; and with
-// GRADOOP_AUDIT_MEMORY set, the measured per-operator peak
-// (dataflow/memory_accountant.h) is checked against the model at query
-// end, aborting when the transfer functions proved unsound.
+// Every operator carries a MemoryBound in its PlanProperties: how many
+// resident bytes its execution is expected to cost, derived bottom-up by
+// per-operator transfer functions in the same pass as the partitioning
+// properties (DerivePlanProperties, plan_compiler.h). CypherEngine
+// rejects plans whose root peak exceeds max_query_memory_bytes before
+// anything executes; and with GRADOOP_AUDIT_MEMORY set, the measured
+// per-operator peak (dataflow/memory_accountant.h) is checked against
+// the model at query end, aborting when the transfer functions proved
+// unsound.
 //
 // All figures are estimates in the planner's cardinality model, not hard
 // bounds: byte widths of properties and paths use fixed per-column
@@ -52,7 +51,7 @@ inline constexpr uint64_t kJoinTableEntryBytes =
 // (id/src/target + label + properties + graph memberships).
 inline constexpr uint64_t kEdgeRecordBytesEstimate = 112;
 
-// One operator's memory claim. row_bytes/output_bytes describe the
+// One operator's memory bound. row_bytes/output_bytes describe the
 // operator's own output; state_bytes its transient kernel state (shuffle
 // staging, build tables, broadcast replicas); peak_bytes the resident
 // peak of the whole subtree rooted here under the lifetime-interval model
@@ -90,20 +89,18 @@ uint64_t FoldLifetimePeak(const uint64_t* child_output_bytes,
 
 // Transfer function: the memory bound of `op`'s subtree, derived from the
 // operator kind, layout, strategy, cardinality estimate and the
-// children's CLAIMED bounds (a child without a claim counts as all-zero).
-// Pure — never reads the operator's own claim. `num_workers` scales the
+// children's derived bounds (a null child counts as all-zero). Pure —
+// never reads the operator's own properties. `num_workers` scales the
 // broadcast replication term and must match the executing
-// ClusterConfig::num_workers (the compiler and verifier are both handed
-// the context's value).
+// ClusterConfig::num_workers (the compiler is handed the context's
+// value).
 MemoryBound DeriveMemoryBound(const PhysicalOperator& op,
                               int num_workers = 4);
 
 // Audit-time variant: re-derives the whole subtree recursively, replacing
 // every cardinality estimate with the operator's actual row count when it
 // executed (absorbing planner misestimates — the audit checks the model's
-// structure, not the estimator) while keeping each operator's CLAIMED
-// row_bytes (so a zeroed/tampered claim shrinks the allowance and the
-// audit still catches it). Children's claims are not trusted for peaks —
+// structure, not the estimator). Children's properties are not read —
 // everything below `op` is re-derived.
 MemoryBound DeriveMemoryBoundAtActuals(const PhysicalOperator& op,
                                        int num_workers = 4);
@@ -121,7 +118,7 @@ double MemoryAuditSlack();
 
 // Walks the executed plan and compares every operator's measured subtree
 // peak (OperatorStats::actual_peak_bytes) against
-// slack x max(claimed peak, model peak at actual row counts). Aborts the
+// slack x max(derived peak, model peak at actual row counts). Aborts the
 // process on the first violation — an unsound transfer function must not
 // survive CI. Call after Execute() with memory accounting enabled.
 void AuditCompiledPlanMemory(const PhysicalOperator& root, int num_workers);

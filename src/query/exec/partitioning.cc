@@ -55,10 +55,8 @@ namespace {
 
 PartitioningProperty ChildPartitioning(const PhysicalOperator& op, size_t i) {
   const PhysicalOperatorPtr& child = op.children()[i];
-  if (child == nullptr || !child->has_output_partitioning()) {
-    return PartitioningProperty::Random();
-  }
-  return child->output_partitioning();
+  return child == nullptr ? PartitioningProperty::Random()
+                          : child->properties().partitioning;
 }
 
 }  // namespace

@@ -17,9 +17,8 @@ class PhysicalOperator;
 // Every operator's output dataset has a physical data layout across the
 // simulated workers. The lattice below abstracts it; DerivePartitioning
 // is the per-operator transfer function, applied bottom-up by
-// PlanCompiler and re-applied independently by VerifyCompiledPlan, so an
-// annotation the compiler made up (rather than derived) never survives
-// to execution. When a repartition join's input is already
+// DerivePlanProperties (plan_compiler.h) and checked at run time by
+// GRADOOP_AUDIT_PARTITIONING. When a repartition join's input is already
 // hash-partitioned on exactly the join key, the shuffle for that side is
 // provably a no-op — every record already sits at hash(key) % p — and
 // the compiled JoinOp/ValueJoinOp elides it (docs/partitioning.md).
@@ -109,8 +108,8 @@ std::vector<std::string> ValueKeySideTokens(
 
 // Transfer function over a compiled operator: the partitioning of its
 // output, derived from the operator kind, its join strategy/keys and the
-// children's claimed properties (a child without a claim counts as
-// Random). Pure — never reads the operator's own claim.
+// children's derived properties (a null child counts as Random). Pure —
+// never reads the operator's own properties.
 PartitioningProperty DerivePartitioning(const PhysicalOperator& op);
 
 // Same transfer function over a logical plan node, used by the planner

@@ -276,14 +276,12 @@ std::string PhysicalOperator::ToString(const RenderOptions& options,
     out += " +filter(" + ClauseList(fused_clauses_) + ")";
   }
   out += " ~" + CardString(estimated_cardinality_);
-  if (has_memory_bound_) {
-    out += " mem=" + std::to_string(memory_bound_.peak_bytes) + "B";
-    if (options.actuals && stats_.executed) {
-      out += "/" + std::to_string(stats_.actual_peak_bytes) + "B";
-    }
+  out += " mem=" + std::to_string(properties_.memory.peak_bytes) + "B";
+  if (options.actuals && stats_.executed) {
+    out += "/" + std::to_string(stats_.actual_peak_bytes) + "B";
   }
-  if (options.batch_layout && has_batch_layout_) {
-    out += " batch=" + std::to_string(batch_layout_.batch_size);
+  if (options.batch_size > 0) {
+    out += " batch=" + std::to_string(options.batch_size);
   }
   if (options.actuals && stats_.executed) {
     out += " rows=" + std::to_string(stats_.actual_rows);
@@ -346,7 +344,7 @@ Result<BatchSet> VertexScanOp::RunBatch(const ExecEnv& env,
   (void)inputs;
   return ScanVerticesBatch(VertexScanInput(*env.graph, query_vertex_.labels),
                            query_vertex_, predicates_, output_meta_,
-                           fused_clauses_, RuntimeBatchSize());
+                           fused_clauses_, env.batch_size);
 }
 
 // --- EdgeScanOp --------------------------------------------------------
@@ -399,7 +397,7 @@ Result<BatchSet> EdgeScanOp::RunBatch(const ExecEnv& env,
   BatchSet scanned = ScanEdgesBatch(
       env.graph->EdgesOfTypes(query_edge_.types), query_edge_, predicates_,
       semantics_, self_loop_, output_meta_, fused_clauses_,
-      RuntimeBatchSize());
+      env.batch_size);
   if (env.batch_scan_cache != nullptr && !signature_.empty()) {
     env.batch_scan_cache->emplace(signature_, scanned.data);
   }
@@ -432,11 +430,10 @@ Result<EmbeddingSet> JoinOp::Run(const ExecEnv& env,
 
 Result<BatchSet> JoinOp::RunBatch(const ExecEnv& env,
                                   std::vector<BatchSet> inputs) {
-  (void)env;
   return JoinBatches(inputs[0], inputs[1], left_columns_, right_columns_,
                      output_meta_, semantics_, strategy_, fused_clauses_,
                      {elide_left_shuffle_, elide_right_shuffle_},
-                     RuntimeBatchSize());
+                     env.batch_size);
 }
 
 // --- ValueJoinOp -------------------------------------------------------
@@ -468,12 +465,11 @@ Result<EmbeddingSet> ValueJoinOp::Run(const ExecEnv& env,
 
 Result<BatchSet> ValueJoinOp::RunBatch(const ExecEnv& env,
                                        std::vector<BatchSet> inputs) {
-  (void)env;
   return ValueJoinBatches(inputs[0], inputs[1], left_key_columns_,
                           right_key_columns_, output_meta_, semantics_,
                           strategy_, fused_clauses_,
                           {elide_left_shuffle_, elide_right_shuffle_},
-                          RuntimeBatchSize());
+                          env.batch_size);
 }
 
 // --- ExpandOp ----------------------------------------------------------
@@ -500,7 +496,7 @@ Result<BatchSet> ExpandOp::RunBatch(const ExecEnv& env,
                        *env.graph->Adjacency(query_edge_.types, reverse_),
                        start_column_, bound_end_column_, output_meta_,
                        query_edge_.lower_bound, query_edge_.upper_bound,
-                       semantics_, fused_clauses_, RuntimeBatchSize());
+                       semantics_, fused_clauses_, env.batch_size);
 }
 
 // --- FilterOp ----------------------------------------------------------

@@ -14,7 +14,6 @@
 #include "epgm/indexed_logical_graph.h"
 #include "query/batch_operators.h"
 #include "query/embedding_meta_data.h"
-#include "query/exec/batch_layout.h"
 #include "query/exec/interruptibility.h"
 #include "query/exec/memory_bound.h"
 #include "query/exec/partitioning.h"
@@ -72,6 +71,21 @@ struct ExecEnv {
   ScanCache* scan_cache = nullptr;  // non-null enables edge-scan sharing
   // Batch-engine scan sharing; only consulted by ExecuteBatch.
   BatchScanCache* batch_scan_cache = nullptr;
+  // Rows per column batch the vectorized kernels build to; only
+  // ExecuteBatch reads it.
+  int batch_size = kDefaultBatchSize;
+};
+
+// The static properties of the subtree rooted at one compiled operator,
+// computed once by DerivePlanProperties (plan_compiler.h) and read-only
+// afterwards. The GRADOOP_AUDIT_* runtime audits check them against the
+// execution. Default-constructed properties have an unbounded
+// checkpoint interval, so VerifyCompiledPlan rejects a tree that skipped
+// the pass.
+struct PlanProperties {
+  PartitioningProperty partitioning;  // output layout across workers
+  MemoryBound memory;                 // subtree footprint
+  Interruptibility interruptibility;  // subtree checkpoint interval
 };
 
 enum class PhysOpKind {
@@ -85,6 +99,7 @@ enum class PhysOpKind {
 
 class PhysicalOperator;
 using PhysicalOperatorPtr = std::shared_ptr<PhysicalOperator>;
+struct CompileOptions;
 
 // One compiled operator of a physical plan. Produced by PlanCompiler,
 // which resolves the output EmbeddingMetaData, key columns and property
@@ -127,62 +142,14 @@ class PhysicalOperator {
   }
   const OperatorStats& stats() const { return stats_; }
 
-  // Partitioning-property claim of the output layout, stamped bottom-up
-  // by PlanCompiler from DerivePartitioning and independently re-derived
-  // by VerifyCompiledPlan. Absent only on operators built outside the
-  // compiler (hand-assembled test trees).
-  bool has_output_partitioning() const { return has_output_partitioning_; }
-  const PartitioningProperty& output_partitioning() const {
-    return output_partitioning_;
-  }
-  void set_output_partitioning(PartitioningProperty p) {
-    output_partitioning_ = std::move(p);
-    has_output_partitioning_ = true;
-  }
-
-  // Memory-footprint claim of the subtree rooted here, stamped bottom-up
-  // by PlanCompiler from DeriveMemoryBound and independently re-derived
-  // by VerifyCompiledPlan (which, unlike for partitioning, REJECTS a
-  // missing claim on compiled plans — admission control depends on it).
-  bool has_memory_bound() const { return has_memory_bound_; }
-  const MemoryBound& memory_bound() const { return memory_bound_; }
-  void set_memory_bound(MemoryBound b) {
-    memory_bound_ = b;
-    has_memory_bound_ = true;
-  }
-
-  // Interruptibility claim of the subtree rooted here, stamped bottom-up
-  // by PlanCompiler from DeriveInterruptibility and independently
-  // re-derived by VerifyCompiledPlan (mandatory on compiled plans; an
-  // unbounded claim — a kernel loop with no cancellation poll — is
-  // rejected outright, see docs/cancellation.md).
-  bool has_interruptibility() const { return has_interruptibility_; }
-  const Interruptibility& interruptibility() const {
-    return interruptibility_;
-  }
-  void set_interruptibility(Interruptibility claim) {
-    interruptibility_ = claim;
-    has_interruptibility_ = true;
-  }
-
-  // Batch-layout claim of the output representation, stamped by
-  // PlanCompiler from DeriveBatchLayout and independently re-derived by
-  // VerifyCompiledPlan (mandatory on compiled plans, like the memory
-  // bound — a tampered layout would make the vectorized kernels read id
-  // payloads as path offsets).
-  bool has_batch_layout() const { return has_batch_layout_; }
-  const BatchLayout& batch_layout() const { return batch_layout_; }
-  void set_batch_layout(BatchLayout layout) {
-    batch_layout_ = std::move(layout);
-    has_batch_layout_ = true;
-  }
+  const PlanProperties& properties() const { return properties_; }
 
   struct RenderOptions {
     bool actuals = false;  // append rows=<actual cardinality>
     bool timing = false;   // append wall/net/spill (non-deterministic)
-    // Append batch=<n> from the batch-layout claim (EXPLAIN under
-    // --engine=batch; row-engine output stays byte-stable without it).
-    bool batch_layout = false;
+    // Append batch=<n> when positive (EXPLAIN under --engine=batch; 0
+    // keeps row-engine output byte-stable).
+    int batch_size = 0;
   };
   // Indented operator-tree rendering (EXPLAIN / EXPLAIN ANALYZE output).
   std::string ToString(const RenderOptions& options, int indent = 0) const;
@@ -207,28 +174,19 @@ class PhysicalOperator {
   virtual Result<BatchSet> RunBatch(const ExecEnv& env,
                                     std::vector<BatchSet> inputs) = 0;
 
-  // Batch capacity the vectorized kernels build to: the compiled claim's
-  // size, or the default on hand-assembled (un-annotated) trees.
-  int RuntimeBatchSize() const {
-    return has_batch_layout_ && batch_layout_.batch_size > 0
-               ? batch_layout_.batch_size
-               : kDefaultBatchSize;
-  }
-
   EmbeddingMetaData output_meta_;
   double estimated_cardinality_ = 0.0;
   MorphismSetting semantics_;
   std::vector<cypher::CnfClause> fused_clauses_;
   std::vector<PhysicalOperatorPtr> children_;
   OperatorStats stats_;
-  PartitioningProperty output_partitioning_;
-  bool has_output_partitioning_ = false;
-  MemoryBound memory_bound_;
-  bool has_memory_bound_ = false;
-  Interruptibility interruptibility_;
-  bool has_interruptibility_ = false;
-  BatchLayout batch_layout_;
-  bool has_batch_layout_ = false;
+
+ private:
+  // Written only by DerivePlanProperties.
+  PlanProperties properties_;
+
+  friend void DerivePlanProperties(PhysicalOperator& root,
+                                   const CompileOptions& options);
 };
 
 // --- one class per plan kind -----------------------------------------
@@ -321,14 +279,11 @@ class JoinOp final : public PhysicalOperator {
   const std::vector<int>& right_columns() const { return right_columns_; }
   dataflow::JoinStrategy strategy() const { return strategy_; }
 
-  // Shuffle elision, granted by PlanCompiler when the partitioning
-  // analysis proved the side co-partitioned on join_variables_.
+  // Shuffle elision, granted by DerivePlanProperties when the
+  // partitioning analysis proved the side co-partitioned on
+  // join_variables_.
   bool elide_left_shuffle() const { return elide_left_shuffle_; }
   bool elide_right_shuffle() const { return elide_right_shuffle_; }
-  void set_shuffle_elision(bool left, bool right) {
-    elide_left_shuffle_ = left;
-    elide_right_shuffle_ = right;
-  }
 
  protected:
   Result<EmbeddingSet> Run(const ExecEnv& env,
@@ -343,6 +298,9 @@ class JoinOp final : public PhysicalOperator {
   dataflow::JoinStrategy strategy_;
   bool elide_left_shuffle_ = false;
   bool elide_right_shuffle_ = false;
+
+  friend void DerivePlanProperties(PhysicalOperator& root,
+                                   const CompileOptions& options);
 };
 
 class ValueJoinOp final : public PhysicalOperator {
@@ -379,10 +337,6 @@ class ValueJoinOp final : public PhysicalOperator {
 
   bool elide_left_shuffle() const { return elide_left_shuffle_; }
   bool elide_right_shuffle() const { return elide_right_shuffle_; }
-  void set_shuffle_elision(bool left, bool right) {
-    elide_left_shuffle_ = left;
-    elide_right_shuffle_ = right;
-  }
 
  protected:
   Result<EmbeddingSet> Run(const ExecEnv& env,
@@ -397,6 +351,9 @@ class ValueJoinOp final : public PhysicalOperator {
   dataflow::JoinStrategy strategy_;
   bool elide_left_shuffle_ = false;
   bool elide_right_shuffle_ = false;
+
+  friend void DerivePlanProperties(PhysicalOperator& root,
+                                   const CompileOptions& options);
 };
 
 class ExpandOp final : public PhysicalOperator {
@@ -404,13 +361,14 @@ class ExpandOp final : public PhysicalOperator {
   ExpandOp(EmbeddingMetaData meta, double estimate, MorphismSetting semantics,
            std::vector<cypher::CnfClause> fused, PhysicalOperatorPtr input,
            cypher::QueryEdge query_edge, int start_column,
-           int bound_end_column, bool reverse)
+           int bound_end_column, bool reverse, uint64_t edge_input_estimate)
       : PhysicalOperator(std::move(meta), estimate, semantics,
                          std::move(fused), {std::move(input)}),
         query_edge_(std::move(query_edge)),
         start_column_(start_column),
         bound_end_column_(bound_end_column),
-        reverse_(reverse) {}
+        reverse_(reverse),
+        edge_input_estimate_(edge_input_estimate) {}
 
   PhysOpKind op_kind() const override { return PhysOpKind::kExpand; }
   const char* name() const override { return "ExpandEmbeddings"; }
@@ -422,12 +380,10 @@ class ExpandOp final : public PhysicalOperator {
   const cypher::QueryEdge& query_edge() const { return query_edge_; }
 
   // Estimated rows of the edge dataset each expansion hop joins against,
-  // stamped by PlanCompiler from the graph statistics (0 when compiled
-  // without statistics, e.g. the ExecutePlan compat path). Trusted
-  // operator data for the memory transfer function, like the cardinality
-  // estimate.
+  // from the graph statistics (0 when compiled without statistics).
+  // Trusted operator data for the memory transfer function, like the
+  // cardinality estimate.
   uint64_t edge_input_estimate() const { return edge_input_estimate_; }
-  void set_edge_input_estimate(uint64_t rows) { edge_input_estimate_ = rows; }
 
  protected:
   Result<EmbeddingSet> Run(const ExecEnv& env,

@@ -67,7 +67,10 @@ Result<PhysicalOperatorPtr> PlanCompiler::Compile(const PlanNodePtr& plan) {
       }
     }
   }
-  return CompileNode(plan, {}, 0.0);
+  GRADOOP_ASSIGN_OR_RETURN(PhysicalOperatorPtr root,
+                           CompileNode(plan, {}, 0.0));
+  DerivePlanProperties(*root, options_);
+  return root;
 }
 
 Status PlanCompiler::CheckClauses(
@@ -112,58 +115,45 @@ std::string PlanCompiler::EdgeScanSignature(
   return sig;
 }
 
-PhysicalOperatorPtr PlanCompiler::Annotate(PhysicalOperatorPtr op) const {
-  if (options_.elide_shuffles && op->op_kind() == PhysOpKind::kJoin) {
-    auto& join = static_cast<JoinOp&>(*op);
-    if (join.strategy() == dataflow::JoinStrategy::kRepartition &&
-        !join.join_variables().empty()) {
-      auto side_elides = [&](size_t i) {
-        const PhysicalOperatorPtr& child = op->children()[i];
-        return child != nullptr && child->has_output_partitioning() &&
-               ElidesShuffle(child->output_partitioning(),
-                             PartitionKeyKind::kIdColumns,
-                             join.join_variables());
-      };
-      join.set_shuffle_elision(side_elides(0), side_elides(1));
-    }
+void DerivePlanProperties(PhysicalOperator& root,
+                          const CompileOptions& options) {
+  for (const PhysicalOperatorPtr& child : root.children()) {
+    if (child != nullptr) DerivePlanProperties(*child, options);
   }
-  if (options_.elide_shuffles && op->op_kind() == PhysOpKind::kValueJoin) {
-    auto& join = static_cast<ValueJoinOp&>(*op);
+  // A repartition-join side skips its shuffle when its input is already
+  // hash-partitioned on exactly that side's key.
+  auto side_elides = [&](size_t i, PartitionKeyKind key_kind,
+                         const std::vector<std::string>& key) {
+    const PhysicalOperatorPtr& child = root.children()[i];
+    return options.elide_shuffles && child != nullptr &&
+           ElidesShuffle(child->properties().partitioning, key_kind, key);
+  };
+  if (root.op_kind() == PhysOpKind::kJoin) {
+    auto& join = static_cast<JoinOp&>(root);
     if (join.strategy() == dataflow::JoinStrategy::kRepartition) {
-      auto side_elides = [&](size_t i, bool right_side) {
-        const PhysicalOperatorPtr& child = op->children()[i];
-        return child != nullptr && child->has_output_partitioning() &&
-               ElidesShuffle(
-                   child->output_partitioning(),
-                   PartitionKeyKind::kPropertyValues,
-                   ValueKeySideTokens(join.key_descriptions(), right_side));
-      };
-      join.set_shuffle_elision(side_elides(0, false), side_elides(1, true));
+      join.elide_left_shuffle_ = side_elides(0, PartitionKeyKind::kIdColumns,
+                                             join.join_variables());
+      join.elide_right_shuffle_ = side_elides(
+          1, PartitionKeyKind::kIdColumns, join.join_variables());
     }
   }
-  // The claim is stamped after the elision decision: DerivePartitioning
-  // reads only the operator kind, keys, strategy and the children's
-  // claims, never the elision flags.
-  op->set_output_partitioning(DerivePartitioning(*op));
-  // Expansion hops join against the full edge dataset, whose size neither
-  // the cardinality estimate nor the children's bounds capture — stamp it
-  // from the statistics before the memory transfer function prices it.
-  if (op->op_kind() == PhysOpKind::kExpand &&
-      options_.statistics != nullptr) {
-    auto& expand = static_cast<ExpandOp&>(*op);
-    expand.set_edge_input_estimate(
-        options_.statistics->EdgeCountByLabels(expand.query_edge().types));
+  if (root.op_kind() == PhysOpKind::kValueJoin) {
+    auto& join = static_cast<ValueJoinOp&>(root);
+    if (join.strategy() == dataflow::JoinStrategy::kRepartition) {
+      join.elide_left_shuffle_ =
+          side_elides(0, PartitionKeyKind::kPropertyValues,
+                      ValueKeySideTokens(join.key_descriptions(), false));
+      join.elide_right_shuffle_ =
+          side_elides(1, PartitionKeyKind::kPropertyValues,
+                      ValueKeySideTokens(join.key_descriptions(), true));
+    }
   }
-  op->set_memory_bound(DeriveMemoryBound(*op, options_.num_workers));
-  // Batch-layout claim: the columnar shape ExecuteBatch materializes —
-  // re-derived (and rejected on mismatch) by VerifyCompiledPlan.
-  op->set_batch_layout(
-      DeriveBatchLayout(op->output_meta(), options_.batch_size));
-  // Interruptibility claim: the subtree's worst checkpoint interval —
-  // re-derived by VerifyCompiledPlan, which also rejects unbounded
-  // intervals (a kernel loop with no cancellation poll).
-  op->set_interruptibility(DeriveInterruptibility(*op));
-  return op;
+  // Partitioning reads the kind, keys, strategy and the children's
+  // properties, never the elision flags; memory and interruptibility
+  // read the children's properties too.
+  root.properties_.partitioning = DerivePartitioning(root);
+  root.properties_.memory = DeriveMemoryBound(root, options.num_workers);
+  root.properties_.interruptibility = DeriveInterruptibility(root);
 }
 
 Result<PhysicalOperatorPtr> PlanCompiler::CompileNode(
@@ -206,7 +196,7 @@ Result<PhysicalOperatorPtr> PlanCompiler::CompileNode(
         meta.AddPropertyColumn(qv.variable, key);
       }
       GRADOOP_RETURN_IF_ERROR(CheckClauses("ScanVertices", residual, meta));
-      return Annotate(std::make_shared<VertexScanOp>(
+      return PhysicalOperatorPtr(std::make_shared<VertexScanOp>(
           std::move(meta), estimate_of(node->estimated_cardinality),
           semantics_, std::move(residual), qv,
           qg_.ElementPredicates(qv.variable)));
@@ -239,7 +229,7 @@ Result<PhysicalOperatorPtr> PlanCompiler::CompileNode(
           options_.share_scans
               ? EdgeScanSignature(qe, self_loop, projection, residual)
               : std::string();
-      return Annotate(std::make_shared<EdgeScanOp>(
+      return PhysicalOperatorPtr(std::make_shared<EdgeScanOp>(
           std::move(meta), estimate_of(node->estimated_cardinality),
           semantics_, std::move(residual), qe,
           qg_.ElementPredicates(qe.variable), self_loop,
@@ -273,7 +263,7 @@ Result<PhysicalOperatorPtr> PlanCompiler::CompileNode(
           left->output_meta(), right->output_meta());
       GRADOOP_RETURN_IF_ERROR(
           CheckClauses("JoinEmbeddings", residual, merged));
-      return Annotate(std::make_shared<JoinOp>(
+      return PhysicalOperatorPtr(std::make_shared<JoinOp>(
           std::move(merged), estimate_of(node->estimated_cardinality),
           semantics_, std::move(residual), std::move(left), std::move(right),
           node->join_variables, std::move(left_columns),
@@ -327,7 +317,7 @@ Result<PhysicalOperatorPtr> PlanCompiler::CompileNode(
           left->output_meta(), right->output_meta());
       GRADOOP_RETURN_IF_ERROR(
           CheckClauses("ValueJoinEmbeddings", residual, merged));
-      return Annotate(std::make_shared<ValueJoinOp>(
+      return PhysicalOperatorPtr(std::make_shared<ValueJoinOp>(
           std::move(merged), estimate_of(node->estimated_cardinality),
           semantics_, std::move(residual), std::move(left), std::move(right),
           std::move(key_descriptions), std::move(left_keys),
@@ -367,10 +357,17 @@ Result<PhysicalOperatorPtr> PlanCompiler::CompileNode(
       if (bound_end_column < 0) meta.AddIdColumn(end, EntryType::kVertex);
       GRADOOP_RETURN_IF_ERROR(
           CheckClauses("ExpandEmbeddings", residual, meta));
-      return Annotate(std::make_shared<ExpandOp>(
+      // Expansion hops join against the full edge dataset, whose size
+      // neither the cardinality estimate nor the input's bound captures.
+      const uint64_t edge_input_estimate =
+          options_.statistics != nullptr
+              ? options_.statistics->EdgeCountByLabels(qe.types)
+              : 0;
+      return PhysicalOperatorPtr(std::make_shared<ExpandOp>(
           std::move(meta), estimate_of(node->estimated_cardinality),
           semantics_, std::move(residual), std::move(input), qe,
-          start_column, bound_end_column, node->expand_reverse));
+          start_column, bound_end_column, node->expand_reverse,
+          edge_input_estimate));
     }
 
     case PlanNode::Kind::kFilter: {
@@ -384,7 +381,7 @@ Result<PhysicalOperatorPtr> PlanCompiler::CompileNode(
       EmbeddingMetaData meta = input->output_meta();
       GRADOOP_RETURN_IF_ERROR(
           CheckClauses("SelectEmbeddings", node->clauses, meta));
-      return Annotate(std::make_shared<FilterOp>(
+      return PhysicalOperatorPtr(std::make_shared<FilterOp>(
           std::move(meta), node->estimated_cardinality, semantics_,
           std::move(input), node->clauses));
     }

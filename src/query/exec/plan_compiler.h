@@ -34,7 +34,7 @@ struct CompileOptions {
   bool share_scans = false;
   // Grant shuffle elisions from the partitioning analysis: a repartition
   // join side whose input is provably hash-partitioned on the join key
-  // skips its shuffle. Partitioning properties are annotated regardless;
+  // skips its shuffle. Partitioning properties are derived regardless;
   // this only gates acting on them (ablation / A-B testing).
   bool elide_shuffles = true;
   // Worker count the memory analysis prices broadcast replication at;
@@ -45,11 +45,17 @@ struct CompileOptions {
   // (how many edge rows each expansion hop stages). Null compiles fine —
   // the estimate is 0 and only the audited/budgeted paths care.
   const GraphStatistics* statistics = nullptr;
-  // Rows per column batch the vectorized kernels build to; stamped into
-  // every operator's BatchLayout claim (used only when the engine
-  // executes the plan with ExecuteBatch, but always verified).
-  int batch_size = kDefaultBatchSize;
 };
+
+// The one bottom-up pass over a compiled tree: visits the children
+// first, then grants `root`'s shuffle elisions from the children's
+// partitioning (when options.elide_shuffles) and derives its
+// PlanProperties — partitioning, memory bound and interruptibility, in
+// that order. PlanCompiler::Compile runs it on every plan; trees built by
+// hand call it directly. Reads options.num_workers and
+// options.elide_shuffles.
+void DerivePlanProperties(PhysicalOperator& root,
+                          const CompileOptions& options);
 
 // Lowers a logical PlanNode tree into compiled physical operators,
 // resolving every operator's output EmbeddingMetaData, join key columns
@@ -63,9 +69,10 @@ class PlanCompiler {
   PlanCompiler(const cypher::QueryGraph& query_graph,
                const MorphismSetting& semantics, CompileOptions options = {});
 
-  // Compiles the tree rooted at `plan`. Fails with Status::Internal when
-  // the plan references columns the compiled layouts cannot provide (a
-  // planner bug, caught before execution).
+  // Compiles the tree rooted at `plan` and derives its PlanProperties.
+  // Fails with Status::Internal when the plan references columns the
+  // compiled layouts cannot provide (a planner bug, caught before
+  // execution).
   Result<PhysicalOperatorPtr> Compile(const PlanNodePtr& plan);
 
  private:
@@ -76,14 +83,6 @@ class PlanCompiler {
   Result<PhysicalOperatorPtr> CompileNode(
       const PlanNodePtr& node, std::vector<cypher::CnfClause> residual,
       double residual_estimate);
-
-  // Bottom-up analyses: grants shuffle elisions to repartition joins
-  // whose input is already hash-partitioned on the join key (when
-  // options_.elide_shuffles), then stamps the operator's own
-  // output-partitioning claim via DerivePartitioning and its memory claim
-  // via DeriveMemoryBound. Called on every compiled operator; children
-  // carry their claims already.
-  PhysicalOperatorPtr Annotate(PhysicalOperatorPtr op) const;
 
   // Every property a clause set reads must resolve in `meta`.
   Status CheckClauses(const char* op,

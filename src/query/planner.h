@@ -2,7 +2,7 @@
 #define GRADOOP_QUERY_PLANNER_H_
 
 #include "common/result.h"
-#include "query/exec/batch_layout.h"
+#include "query/embedding_batch.h"
 #include "query/graph_statistics.h"
 #include "query/plan.h"
 
@@ -49,7 +49,8 @@ struct PlannerOptions {
   // the columnar EmbeddingBatch kernels (docs/vectorized.md). Both
   // execute the same compiled plan and produce byte-identical results;
   // batch_size is the rows-per-batch capacity the vectorized kernels
-  // build to (stamped into the plan's BatchLayout claims either way).
+  // build to; it must be positive (Execute and Explain reject anything
+  // else) and EXPLAIN renders it as batch=<n> under the batch engine.
   enum class ExecutionEngine {
     kRow,
     kBatch,

@@ -18,8 +18,7 @@ void AppendOperators(const exec::PhysicalOperator& op, int depth,
                                      static_cast<double>(stats.actual_rows));
   profile.selectivity = stats.selectivity;
   profile.actual_peak_bytes = stats.actual_peak_bytes;
-  profile.claimed_peak_bytes =
-      op.has_memory_bound() ? op.memory_bound().peak_bytes : 0;
+  profile.claimed_peak_bytes = op.properties().memory.peak_bytes;
   profile.self_wall_sec = stats.self_wall_sec;
   profile.total_wall_sec = stats.total_wall_sec;
   profile.network_bytes = stats.network_bytes;

@@ -1,9 +1,9 @@
 // Differential tests for the columnar batch engine (docs/vectorized.md):
 // row and batch execution of the same compiled plan must produce
 // byte-identical embeddings, the runtime audits must stay clean under
-// the batch kernels, EXPLAIN must surface the batch layout only under
-// --engine=batch, and tampered batch-layout claims must be rejected by
-// the compiled-plan verifier before anything runs.
+// the batch kernels, EXPLAIN must surface the batch size only under
+// --engine=batch, and a non-positive batch size must be rejected before
+// anything runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,13 +12,11 @@
 #include <string>
 #include <vector>
 
-#include "analysis/plan_verifier.h"
 #include "dataflow/partitioning_audit.h"
 #include "ldbc/ldbc_generator.h"
 #include "ldbc/queries.h"
 #include "query/cypher_engine.h"
 #include "query/batch_operators.h"
-#include "query/exec/batch_layout.h"
 
 namespace gradoop::query {
 namespace {
@@ -149,7 +147,7 @@ TEST(BatchEngineTest, ScanSharingWorksUnderBatchEngine) {
   EXPECT_EQ(expected, Canonical(&shared, ldbc::Query6()));
 }
 
-TEST(BatchEngineTest, ExplainRendersBatchLayoutOnlyUnderBatchEngine) {
+TEST(BatchEngineTest, ExplainRendersBatchSizeOnlyUnderBatchEngine) {
   auto graph = SmallLdbc();
   CypherEngine row(graph);
   CypherEngine batch(graph, BatchOptions());
@@ -184,46 +182,22 @@ TEST(BatchEngineTest, ExplainAnalyzeReportsBatchesAndSelectivity) {
   EXPECT_EQ(row_analyzed.value().find("batches="), std::string::npos);
 }
 
-TEST(BatchEngineTest, VerifierRejectsTamperedBatchLayout) {
+TEST(BatchEngineTest, RejectsNonPositiveBatchSize) {
+  // No kernel can build batches of zero or fewer rows, so the engine
+  // refuses the options up front instead of running at some other size.
   auto graph = SmallLdbc();
-  CypherEngine engine(graph);
-  auto result = engine.Execute(ldbc::Query5());
-  ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_NE(result.value().physical, nullptr);
-  const int num_workers = graph.vertices().context()->num_workers();
-  ASSERT_TRUE(analysis::VerifyCompiledPlan(result.value().query_graph,
-                                           *result.value().physical,
-                                           num_workers)
-                  .ok());
-  // An all-zero layout is not what DeriveBatchLayout yields.
-  result.value().physical->set_batch_layout(exec::BatchLayout{});
-  const Status s = analysis::VerifyCompiledPlan(
-      result.value().query_graph, *result.value().physical, num_workers);
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("batch layout"), std::string::npos)
-      << s.message();
-  EXPECT_NE(s.message().find("not derivable"), std::string::npos)
-      << s.message();
-}
-
-TEST(BatchEngineTest, VerifierRejectsMismatchedBatchSize) {
-  // A plan compiled for one batch size does not verify against another:
-  // the claim pins the exact buffer capacity the kernels will allocate.
-  auto graph = SmallLdbc();
-  CypherEngine engine(graph, BatchOptions(/*batch_size=*/512));
-  auto result = engine.Execute(ldbc::Query5());
-  ASSERT_TRUE(result.ok()) << result.status();
-  const int num_workers = graph.vertices().context()->num_workers();
-  EXPECT_TRUE(analysis::VerifyCompiledPlan(result.value().query_graph,
-                                           *result.value().physical,
-                                           num_workers, /*batch_size=*/512)
-                  .ok());
-  const Status s = analysis::VerifyCompiledPlan(
-      result.value().query_graph, *result.value().physical, num_workers,
-      /*batch_size=*/1024);
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("batch layout"), std::string::npos)
-      << s.message();
+  for (const int batch_size : {0, -1}) {
+    CypherEngine engine(graph, BatchOptions(batch_size));
+    auto executed = engine.Execute(ldbc::Query5());
+    ASSERT_FALSE(executed.ok()) << "batch_size=" << batch_size;
+    EXPECT_EQ(executed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(executed.status().message().find("batch_size"),
+              std::string::npos)
+        << executed.status();
+    auto explained = engine.Explain(ldbc::Query5());
+    ASSERT_FALSE(explained.ok()) << "batch_size=" << batch_size;
+    EXPECT_EQ(explained.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 // Best-of-`reps` wall time of converting `rows` single-row batches back

@@ -1,7 +1,7 @@
 // Cancellation safety (docs/cancellation.md): the CancellationToken's
-// trip/poll/deadline semantics, the interruptibility claims PlanCompiler
-// stamps and VerifyCompiledPlan re-derives (missing, tampered and
-// unbounded claims are each rejected), the GQL008 unwind on deadlines
+// trip/poll/deadline semantics, the bounded checkpoint intervals
+// DerivePlanProperties computes (VerifyCompiledPlan rejects a tree that
+// skipped the pass as unbounded), the GQL008 unwind on deadlines
 // and injected cancels in both engines, the GRADOOP_AUDIT_CANCELLATION
 // runtime audit (including its abort on an unpolled loop), and the query
 // log's cancellation attribution plus SetPath's failure path.
@@ -22,9 +22,7 @@
 #include "ldbc/queries.h"
 #include "query/cypher_engine.h"
 #include "query/exec/interruptibility.h"
-#include "query/exec/memory_bound.h"
 #include "query/exec/physical_operator.h"
-#include "query/exec/plan_compiler.h"
 #include "telemetry/query_log.h"
 #include "telemetry/validate.h"
 
@@ -146,7 +144,7 @@ TEST(CancellationTokenTest, FarDeadlineDoesNotTrip) {
 
 // --- interruptibility claims -------------------------------------------
 
-TEST(InterruptibilityTest, CompilerStampsBoundedClaimsOnEveryOperator) {
+TEST(InterruptibilityTest, CompilerDerivesBoundedIntervalsOnEveryOperator) {
   CypherEngine engine(LdbcGraph());
   auto result = engine.Execute(ldbc::Query1("Alice"));
   ASSERT_TRUE(result.ok()) << result.status();
@@ -155,56 +153,20 @@ TEST(InterruptibilityTest, CompilerStampsBoundedClaimsOnEveryOperator) {
   CollectOps(result.value().physical, &ops);
   ASSERT_FALSE(ops.empty());
   for (exec::PhysicalOperator* op : ops) {
-    ASSERT_TRUE(op->has_interruptibility()) << op->Describe();
-    EXPECT_TRUE(op->interruptibility().bounded()) << op->Describe();
-    EXPECT_EQ(op->interruptibility(), exec::DeriveInterruptibility(*op))
+    EXPECT_TRUE(op->properties().interruptibility.bounded())
         << op->Describe();
   }
 }
 
-TEST(InterruptibilityTest, VerifierRejectsMissingClaim) {
+TEST(InterruptibilityTest, VerifierRejectsUnboundedClaim) {
   auto qg = QG("MATCH (a)-[e:knows]->(b) RETURN *");
   EmbeddingMetaData meta;
   meta.AddIdColumn("a", EntryType::kVertex);
-  // A structurally valid scan that skipped the annotation pass: the
-  // memory and batch-layout claims are stamped so the verifier reaches
-  // the interruptibility check.
+  // A structurally valid scan that skipped DerivePlanProperties: its
+  // default properties claim no checkpoint at all.
   exec::VertexScanOp scan(meta, 1.0, MorphismSetting::Neo4j(), {},
                           qg.vertices()[0], {});
-  scan.set_memory_bound(exec::DeriveMemoryBound(scan));
-  scan.set_batch_layout(exec::DeriveBatchLayout(scan.output_meta()));
   const Status s = analysis::VerifyCompiledPlan(qg, scan);
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("missing interruptibility claim"),
-            std::string::npos)
-      << s.message();
-}
-
-TEST(InterruptibilityTest, VerifierRejectsTamperedClaim) {
-  CypherEngine engine(LdbcGraph());
-  auto result = engine.Execute(ldbc::Query1("Alice"));
-  ASSERT_TRUE(result.ok()) << result.status();
-  exec::PhysicalOperatorPtr root = result.value().physical;
-  ASSERT_NE(root, nullptr);
-  exec::Interruptibility tampered = root->interruptibility();
-  tampered.rows += 41;  // claims a coarser poll interval than derivable
-  root->set_interruptibility(tampered);
-  const Status s =
-      analysis::VerifyCompiledPlan(result.value().query_graph, *root);
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("claimed interruptibility"), std::string::npos)
-      << s.message();
-}
-
-TEST(InterruptibilityTest, VerifierRejectsUnboundedClaim) {
-  CypherEngine engine(LdbcGraph());
-  auto result = engine.Execute(ldbc::Query1("Alice"));
-  ASSERT_TRUE(result.ok()) << result.status();
-  exec::PhysicalOperatorPtr root = result.value().physical;
-  ASSERT_NE(root, nullptr);
-  root->set_interruptibility(exec::Interruptibility{});  // 0/0 = unbounded
-  const Status s =
-      analysis::VerifyCompiledPlan(result.value().query_graph, *root);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("unbounded checkpoint interval"),
             std::string::npos)

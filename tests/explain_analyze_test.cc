@@ -6,7 +6,9 @@
 //
 //   GRADOOP_PRINT_GOLDEN=1 ./explain_analyze_test
 //
-// and paste the printed blocks below.
+// and paste the printed blocks below. The EXPLAIN goldens of the same
+// queries under the batch engine and without broadcast joins re-capture
+// the same way.
 
 #include <gtest/gtest.h>
 
@@ -47,6 +49,25 @@ std::string AnalyzeDeterministic(CypherEngine& engine, const std::string& q) {
 }
 
 std::vector<GoldenCase>& Cases();
+std::vector<GoldenCase>& BatchEngineExplainCases();
+std::vector<GoldenCase>& NoBroadcastExplainCases();
+
+// EXPLAIN (no execution) under `options` must match each case's golden
+// byte for byte.
+void ExpectExplainGoldens(const PlannerOptions& options,
+                          std::vector<GoldenCase>& cases) {
+  CypherEngine engine(LdbcGraph(), options);
+  const bool print = std::getenv("GRADOOP_PRINT_GOLDEN") != nullptr;
+  for (GoldenCase& c : cases) {
+    auto explain = engine.Explain(c.query);
+    ASSERT_TRUE(explain.ok()) << c.label << " -> " << explain.status();
+    if (print) {
+      printf("--- %s ---\n%s", c.label, explain.value().c_str());
+      continue;
+    }
+    EXPECT_EQ(explain.value(), c.golden) << c.label;
+  }
+}
 
 TEST(ExplainAnalyzeTest, GoldenTreesForSixLdbcQueries) {
   CypherEngine engine(LdbcGraph());
@@ -100,6 +121,21 @@ TEST(ExplainAnalyzeTest, ExplainMatchesAnalyzeTreeShape) {
     }
     EXPECT_EQ(stripped, expected) << c.label;
   }
+}
+
+// Under the batch engine every operator line carries batch=<n>.
+TEST(ExplainAnalyzeTest, ExplainGoldensUnderBatchEngine) {
+  PlannerOptions options;
+  options.engine = PlannerOptions::ExecutionEngine::kBatch;
+  ExpectExplainGoldens(options, BatchEngineExplainCases());
+}
+
+// Without broadcast joins every join repartitions, and the sides the
+// partitioning analysis proves co-partitioned render shuffle=elided.
+TEST(ExplainAnalyzeTest, ExplainGoldensWithoutBroadcast) {
+  PlannerOptions options;
+  options.allow_broadcast = false;
+  ExpectExplainGoldens(options, NoBroadcastExplainCases());
 }
 
 TEST(ExplainAnalyzeTest, ExplainAnalyzeReportsEstimatesAndActuals) {
@@ -208,6 +244,182 @@ std::vector<GoldenCase>& Cases() {
     JoinEmbeddings(on t1, broadcast) ~463 mem=96538B/72214B rows=463 qerror=1.00 sel=0.82
       ScanEdges(  __e1:hasInterest) ~463 mem=18057B/18057B rows=463 qerror=1.00 sel=1.00
       ScanVertices(t1:Tag) ~100 mem=2100B/2100B rows=100 qerror=1.00 sel=1.00
+)"},
+  };
+  return cases;
+}
+
+std::vector<GoldenCase>& BatchEngineExplainCases() {
+  static std::vector<GoldenCase> cases = {
+      {"ldbc_q1", ldbc::Query1("Alice"),
+       R"(JoinEmbeddings(on message, broadcast) ~35 mem=119315B batch=1024
+  ScanVertices(message:Comment|Post) ~700 mem=48300B batch=1024
+  JoinEmbeddings(on person, broadcast) ~35 mem=58190B batch=1024
+    ScanEdges(  __e0:hasCreator) ~700 mem=27300B batch=1024
+    ScanVertices(person:Person) ~5 mem=105B batch=1024
+)"},
+      {"ldbc_q2", ldbc::Query2("Alice"),
+       R"(JoinEmbeddings(on post, broadcast) ~385 mem=420450B batch=1024
+  ExpandEmbeddings(  __e1*0..10) ~385 mem=209420B batch=1024
+    JoinEmbeddings(on message, broadcast) ~35 mem=119315B batch=1024
+      ScanVertices(message:Comment|Post) ~700 mem=48300B batch=1024
+      JoinEmbeddings(on person, broadcast) ~35 mem=58190B batch=1024
+        ScanEdges(  __e0:hasCreator) ~700 mem=27300B batch=1024
+        ScanVertices(person:Person) ~5 mem=105B batch=1024
+  ScanVertices(post:Post) ~300 mem=20700B batch=1024
+)"},
+      {"ldbc_q3", ldbc::Query3("Alice"),
+       R"(JoinEmbeddings(on post, broadcast) ~23 mem=395516B batch=1024
+  ScanVertices(post:Post) ~300 mem=13500B batch=1024
+  ExpandEmbeddings(  __e2*1..10) ~23 mem=382016B batch=1024
+    JoinEmbeddings(on p1, broadcast) ~691 mem=341466B batch=1024
+      ScanEdges(  __e3:hasCreator) ~700 mem=27300B batch=1024
+      JoinEmbeddings(on comment, broadcast) ~99 mem=167775B batch=1024
+        ScanVertices(comment:Comment) ~400 mem=8400B batch=1024
+        JoinEmbeddings(on p2, broadcast) ~99 mem=90030B batch=1024
+          ScanEdges(  __e1:hasCreator) ~700 mem=27300B batch=1024
+          JoinEmbeddings(on p2, broadcast) ~14 mem=33686B batch=1024
+            ScanVertices(p2:Person) ~100 mem=6900B batch=1024
+            JoinEmbeddings(on p1, broadcast) ~14 mem=26786B batch=1024
+              ScanEdges(  __e0:knows) ~282 mem=10998B batch=1024
+              ScanVertices(p1:Person) ~5 mem=345B batch=1024
+)"},
+      {"ldbc_q4", ldbc::Query4(),
+       R"(JoinEmbeddings(on tag, broadcast) ~199 mem=224800B batch=1024
+  JoinEmbeddings(on person, broadcast) ~199 mem=166564B batch=1024
+    ScanEdges(  __e1:hasInterest) ~463 mem=18057B batch=1024
+    JoinEmbeddings(on uni, broadcast) ~43 mem=75220B batch=1024
+      JoinEmbeddings(on person, broadcast) ~43 mem=75220B batch=1024
+        ScanEdges(  __e2:studyAt) ~79 mem=3081B batch=1024
+        JoinEmbeddings(on city, broadcast) ~43 mem=63883B batch=1024
+          ScanVertices(city:City) ~50 mem=2250B batch=1024
+          JoinEmbeddings(on person, broadcast) ~43 mem=58798B batch=1024
+            ScanEdges(  __e0:isLocatedIn) ~100 mem=3900B batch=1024
+            JoinEmbeddings(on forum, broadcast) ~43 mem=38998B batch=1024
+              JoinEmbeddings(on person, broadcast) ~43 mem=38998B batch=1024
+                ScanVertices(person:Person) ~100 mem=6900B batch=1024
+                ScanEdges(  __e3:hasMember|hasModerator) ~43 mem=1677B batch=1024
+              ScanVertices(forum:Forum) ~5 mem=225B batch=1024
+      ScanVertices(uni:University) ~20 mem=900B batch=1024
+  ScanVertices(tag:Tag) ~100 mem=4500B batch=1024
+)"},
+      {"ldbc_q5", ldbc::Query5(),
+       R"(JoinEmbeddings(on p1,p3, broadcast) ~22 mem=527256B batch=1024
+  JoinEmbeddings(on p2, broadcast) ~795 mem=432048B batch=1024
+    JoinEmbeddings(on p1, broadcast) ~282 mem=116068B batch=1024
+      ScanEdges(  __e0:knows) ~282 mem=10998B batch=1024
+      ScanVertices(p1:Person) ~100 mem=6900B batch=1024
+    JoinEmbeddings(on p2, broadcast) ~282 mem=116068B batch=1024
+      ScanEdges(  __e1:knows) ~282 mem=10998B batch=1024
+      ScanVertices(p2:Person) ~100 mem=6900B batch=1024
+  JoinEmbeddings(on p3, broadcast) ~282 mem=116068B batch=1024
+    ScanEdges(  __e2:knows) ~282 mem=10998B batch=1024
+    ScanVertices(p3:Person) ~100 mem=6900B batch=1024
+)"},
+      {"ldbc_q6", ldbc::Query6(),
+       R"(JoinEmbeddings(on p2, broadcast) ~280 mem=640240B batch=1024
+  JoinEmbeddings(on t2, broadcast) ~463 mem=122050B batch=1024
+    ScanEdges(  __e3:hasInterest) ~463 mem=18057B batch=1024
+    ScanVertices(t2:Tag) ~100 mem=4500B batch=1024
+  JoinEmbeddings(on p1,t1, broadcast) ~60 mem=606904B batch=1024
+    JoinEmbeddings(on p2, broadcast) ~1306 mem=458358B batch=1024
+      ScanEdges(  __e2:hasInterest) ~463 mem=18057B batch=1024
+      JoinEmbeddings(on p2, broadcast) ~282 mem=121954B batch=1024
+        JoinEmbeddings(on p1, broadcast) ~282 mem=116068B batch=1024
+          ScanEdges(  __e0:knows) ~282 mem=10998B batch=1024
+          ScanVertices(p1:Person) ~100 mem=6900B batch=1024
+        ScanVertices(p2:Person) ~100 mem=2100B batch=1024
+    JoinEmbeddings(on t1, broadcast) ~463 mem=96538B batch=1024
+      ScanEdges(  __e1:hasInterest) ~463 mem=18057B batch=1024
+      ScanVertices(t1:Tag) ~100 mem=2100B batch=1024
+)"},
+  };
+  return cases;
+}
+
+std::vector<GoldenCase>& NoBroadcastExplainCases() {
+  static std::vector<GoldenCase> cases = {
+      {"ldbc_q1", ldbc::Query1("Alice"),
+       R"(JoinEmbeddings(on message, repartition) ~35 mem=105875B
+  ScanVertices(message:Comment|Post) ~700 mem=48300B
+  JoinEmbeddings(on person, repartition) ~35 mem=56810B
+    ScanEdges(  __e0:hasCreator) ~700 mem=27300B
+    ScanVertices(person:Person) ~5 mem=105B
+)"},
+      {"ldbc_q2", ldbc::Query2("Alice"),
+       R"(JoinEmbeddings(on post, repartition) ~385 mem=280050B
+  ExpandEmbeddings(  __e1*0..10) ~385 mem=209420B
+    JoinEmbeddings(on message, repartition) ~35 mem=105875B
+      ScanVertices(message:Comment|Post) ~700 mem=48300B
+      JoinEmbeddings(on person, repartition) ~35 mem=56810B
+        ScanEdges(  __e0:hasCreator) ~700 mem=27300B
+        ScanVertices(person:Person) ~5 mem=105B
+  ScanVertices(post:Post) ~300 mem=20700B
+)"},
+      {"ldbc_q3", ldbc::Query3("Alice"),
+       R"(JoinEmbeddings(on post, repartition) ~23 mem=395516B
+  ScanVertices(post:Post) ~300 mem=13500B
+  ExpandEmbeddings(  __e2*1..10) ~23 mem=382016B
+    JoinEmbeddings(on p1, repartition) ~691 mem=247614B
+      ScanEdges(  __e3:hasCreator) ~700 mem=27300B
+      JoinEmbeddings(on comment, repartition) ~99 mem=86370B
+        ScanVertices(comment:Comment) ~400 mem=8400B
+        JoinEmbeddings(on p2, repartition, right shuffle=elided (co-partitioned on p2)) ~99 mem=77970B
+          ScanEdges(  __e1:hasCreator) ~700 mem=27300B
+          JoinEmbeddings(on p2, repartition) ~14 mem=31346B
+            ScanVertices(p2:Person) ~100 mem=6900B
+            JoinEmbeddings(on p1, repartition) ~14 mem=24446B
+              ScanEdges(  __e0:knows) ~282 mem=10998B
+              ScanVertices(p1:Person) ~5 mem=345B
+)"},
+      {"ldbc_q4", ldbc::Query4(),
+       R"(JoinEmbeddings(on tag, repartition) ~199 mem=187600B
+  JoinEmbeddings(on person, repartition) ~199 mem=115480B
+    ScanEdges(  __e1:hasInterest) ~463 mem=18057B
+    JoinEmbeddings(on forum, repartition) ~43 mem=33265B
+      JoinEmbeddings(on uni, repartition) ~43 mem=33265B
+        JoinEmbeddings(on city, repartition) ~43 mem=33265B
+          ScanVertices(city:City) ~50 mem=2250B
+          JoinEmbeddings(on person, repartition, right shuffle=elided (co-partitioned on person)) ~43 mem=31015B
+            ScanEdges(  __e2:studyAt) ~79 mem=3081B
+            JoinEmbeddings(on person, repartition, right shuffle=elided (co-partitioned on person)) ~43 mem=27934B
+              ScanEdges(  __e0:isLocatedIn) ~100 mem=3900B
+              JoinEmbeddings(on person, repartition) ~43 mem=24034B
+                ScanVertices(person:Person) ~100 mem=6900B
+                ScanEdges(  __e3:hasMember|hasModerator) ~43 mem=1677B
+        ScanVertices(uni:University) ~20 mem=900B
+      ScanVertices(forum:Forum) ~5 mem=225B
+  ScanVertices(tag:Tag) ~100 mem=4500B
+)"},
+      {"ldbc_q5", ldbc::Query5(),
+       R"(JoinEmbeddings(on p1,p3, repartition) ~22 mem=364824B
+  JoinEmbeddings(on p2, repartition, right shuffle=elided (co-partitioned on p2)) ~795 mem=269616B
+    JoinEmbeddings(on p1, repartition) ~282 mem=69268B
+      ScanEdges(  __e0:knows) ~282 mem=10998B
+      ScanVertices(p1:Person) ~100 mem=6900B
+    JoinEmbeddings(on p2, repartition) ~282 mem=69268B
+      ScanEdges(  __e1:knows) ~282 mem=10998B
+      ScanVertices(p2:Person) ~100 mem=6900B
+  JoinEmbeddings(on p3, repartition) ~282 mem=69268B
+    ScanEdges(  __e2:knows) ~282 mem=10998B
+    ScanVertices(p3:Person) ~100 mem=6900B
+)"},
+      {"ldbc_q6", ldbc::Query6(),
+       R"(JoinEmbeddings(on p2, repartition) ~280 mem=462448B
+  JoinEmbeddings(on t2, repartition) ~463 mem=84850B
+    ScanEdges(  __e3:hasInterest) ~463 mem=18057B
+    ScanVertices(t2:Tag) ~100 mem=4500B
+  JoinEmbeddings(on p1,t1, repartition) ~60 mem=429112B
+    JoinEmbeddings(on p2, repartition, right shuffle=elided (co-partitioned on p2)) ~1306 mem=285774B
+      ScanEdges(  __e2:hasInterest) ~463 mem=18057B
+      JoinEmbeddings(on p2, repartition) ~282 mem=94354B
+        JoinEmbeddings(on p1, repartition) ~282 mem=69268B
+          ScanEdges(  __e0:knows) ~282 mem=10998B
+          ScanVertices(p1:Person) ~100 mem=6900B
+        ScanVertices(p2:Person) ~100 mem=2100B
+    JoinEmbeddings(on t1, repartition) ~463 mem=68938B
+      ScanEdges(  __e1:hasInterest) ~463 mem=18057B
+      ScanVertices(t1:Tag) ~100 mem=2100B
 )"},
   };
   return cases;
