@@ -9,6 +9,7 @@
 // distributed execution times under that model, wall-clock is the real
 // local multi-threaded execution.
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -27,10 +28,19 @@
 
 namespace gradoop::bench {
 
-// The miniature stand-ins for the paper's scale factors.
+// The miniature stand-ins for the paper's scale factors. A
+// GRADOOP_BENCH_SF that is not wholly a finite number > 0 exits 2.
 inline double MiniSf10() {
   const char* env = std::getenv("GRADOOP_BENCH_SF");
-  return env != nullptr ? std::atof(env) : 1.0;
+  if (env == nullptr) return 1.0;
+  char* end = nullptr;
+  const double sf = std::strtod(env, &end);
+  if (end == env || *end != '\0' || !std::isfinite(sf) || sf <= 0.0) {
+    std::fprintf(stderr, "GRADOOP_BENCH_SF='%s' is not a finite number > 0\n",
+                 env);
+    std::exit(2);
+  }
+  return sf;
 }
 inline double MiniSf100() { return 10.0 * MiniSf10(); }
 

@@ -1,0 +1,249 @@
+// What each opt-in instrument costs, so every one can be shown to stay
+// off the measured path. Two tables drive it:
+//
+//   query toggles, median LDBC Q1 wall ms at MiniSf10() and 4 workers:
+//     telemetry          off | on  (+ spans, flight-recorder entries,
+//                                     bytes and evictions)
+//     memory_accounting  off | on  (+ accountant peak_bytes)
+//   micro-loops, median ns per call:
+//     cancellation  raw_load | disabled | armed  (CheckCancelled)
+//     lock_rank     raw | ranked | checker       (common::Mutex)
+//
+// Modes alternate inside one loop and every round reverses their order,
+// so no mode always runs first (cold). Each mode after an overhead's
+// first carries `<mode>_ratio` (on_ratio, disabled_ratio, ...) against
+// the first. Ratios are reported, never gated; the structural pins live
+// in ctest. BENCH_overheads.json holds one record per (overhead, mode):
+// wall_ms is the median run (toggles) or median round's loop of
+// `records` calls (micro-loops, plus ns_per_op).
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <cstdio>
+#include <functional>
+#include <map>
+#include <mutex>  // raw-baseline only; engine code must use common::Mutex
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "bench/bench_common.h"
+#include "common/cancellation.h"
+#include "common/lock_rank.h"
+#include "common/thread_annotations.h"
+#include "common/timer.h"
+
+namespace {
+
+using gradoop::bench::JsonReporter;
+using gradoop::bench::RunResult;
+using gradoop::common::LockRank;
+using Params = std::map<std::string, std::string>;
+using Figures = std::map<std::string, uint64_t>;
+
+constexpr int kWarmupRounds = 3;
+constexpr int kRounds = 15;
+constexpr int kWorkers = 4;
+
+// Keeps micro-loop bodies from being optimized away, at no measurable cost.
+volatile uint64_t g_sink = 0;
+
+// An instrument switched per query: `set` flips it before every run,
+// `observe` folds the finished run's figures into its mode's record.
+struct QueryToggle {
+  const char* overhead;
+  bool default_on;  // restored once the rounds are done
+  std::function<void(bool on)> set;
+  std::function<void(Figures*)> observe;
+};
+
+// A per-call fast path timed in a tight loop. Each mode runs `iters`
+// calls and returns ns/op; the first mode is the baseline.
+struct MicroLoop {
+  const char* overhead;
+  uint64_t iters;
+  std::vector<std::pair<std::string, std::function<double(uint64_t)>>> modes;
+  Params params = {};  // extra params on every mode's record
+};
+
+// One micro-loop mode: times `iters` calls of `op`, returns ns/op.
+template <typename Fn>
+std::function<double(uint64_t)> NsPerOp(Fn op) {
+  return [op](uint64_t iters) {
+    gradoop::Timer timer;
+    for (uint64_t i = 0; i < iters; ++i) op();
+    return timer.ElapsedSeconds() * 1e9 / static_cast<double>(iters);
+  };
+}
+
+std::string Fixed(double value, int digits) {
+  char text[32];
+  std::snprintf(text, sizeof(text), "%.*f", digits, value);
+  return text;
+}
+
+// Samples every mode once per round, reversing the order on odd rounds;
+// returns each mode's median over the rounds after the warm-up.
+template <typename Sample>
+std::vector<double> InterleavedMedians(size_t num_modes, Sample&& sample) {
+  std::vector<std::vector<double>> samples(num_modes);
+  for (int round = 0; round < kWarmupRounds + kRounds; ++round) {
+    for (size_t i = 0; i < num_modes; ++i) {
+      const size_t mode = round % 2 == 0 ? i : num_modes - 1 - i;
+      const double value = sample(mode);
+      if (round >= kWarmupRounds) samples[mode].push_back(value);
+    }
+  }
+  std::vector<double> medians;
+  for (std::vector<double>& values : samples) {
+    std::sort(values.begin(), values.end());
+    medians.push_back(values[values.size() / 2]);
+  }
+  return medians;
+}
+
+// Records mode `index` of one overhead's `medians` and prints it; every
+// mode after the first carries `<mode>_ratio` against the first.
+void Report(JsonReporter* reporter, const char* overhead,
+            const std::string& mode, size_t index,
+            const std::vector<double>& medians, const char* unit,
+            Params params, const RunResult& result) {
+  std::string ratio = "-";
+  if (index > 0) {
+    ratio = Fixed(medians[0] > 0.0 ? medians[index] / medians[0] : 0.0, 3);
+    params[mode + "_ratio"] = ratio;
+  }
+  params["overhead"] = overhead;
+  params["mode"] = mode;
+  reporter->Record(std::move(params), result);
+  std::printf("%-18s %-9s %10.3f %-5s %8s\n", overhead, mode.c_str(),
+              medians[index], unit, ratio.c_str());
+}
+
+}  // namespace
+
+int main() {
+  const double sf = gradoop::bench::MiniSf10();
+  JsonReporter reporter("overheads");
+  gradoop::bench::BenchHarness harness;
+  const std::string query = gradoop::ldbc::Query1(
+      harness.FirstName(sf, gradoop::ldbc::Selectivity::kMedium));
+  gradoop::query::CypherEngine& engine = harness.Engine(sf, kWorkers);
+  auto ctx = engine.graph().context();
+  reporter.set_cluster({.num_workers = kWorkers});
+
+  std::printf("overheads, LDBC Q1 at sf %.2f, %d workers, %d rounds + %d "
+              "warm-up\n%-18s %-9s %10s %-5s %8s\n", sf, kWorkers, kRounds,
+              kWarmupRounds, "overhead", "mode", "median", "", "ratio");
+
+  const QueryToggle toggles[] = {
+      {"telemetry", false,
+       [&](bool on) {
+         on ? ctx->EnableTelemetry() : ctx->DisableTelemetry();
+         ctx->telemetry().ResetData();
+       },
+       // Spans are this run's (set() resets them); the recorder persists,
+       // so its change across a run is what that run's mode added.
+       [&, seen = Figures{}](Figures* figures) mutable {
+         const auto& recorder = ctx->flight_recorder();
+         (*figures)["spans"] = ctx->telemetry().tracer().NumSpans();
+         const Figures now = {{"recorder_entries", recorder.size()},
+                              {"recorder_bytes", recorder.retained_bytes()},
+                              {"recorder_evictions", recorder.dropped()}};
+         for (const auto& [name, value] : now) {
+           (*figures)[name] += value - seen[name];
+         }
+         seen = now;
+       }},
+      {"memory_accounting", true,
+       [&](bool on) { engine.set_account_memory(on); },
+       [&](Figures* figures) {
+         (*figures)["peak_bytes"] = ctx->accountant().peak_bytes();
+       }},
+  };
+  for (const QueryToggle& toggle : toggles) {
+    Figures figures[2];
+    RunResult last[2];
+    const std::vector<double> medians = InterleavedMedians(2, [&](size_t on) {
+      toggle.set(on == 1);
+      last[on] = harness.Run(sf, kWorkers, query);
+      toggle.observe(&figures[on]);
+      return last[on].wall_sec * 1e3;
+    });
+    toggle.set(toggle.default_on);
+    for (size_t on = 0; on < 2; ++on) {
+      Params params = {{"sf", Fixed(sf, 2)},
+                       {"workers", std::to_string(kWorkers)},
+                       {"query", query}};
+      for (const auto& [name, value] : figures[on]) {
+        params[name] = std::to_string(value);
+      }
+      last[on].wall_sec = medians[on] / 1e3;
+      Report(&reporter, toggle.overhead, on == 1 ? "on" : "off", on, medians,
+             "ms", std::move(params), last[on]);
+    }
+  }
+
+  // ordering: relaxed — bench-local flag, the one load a disabled token
+  // is specified to cost (common/cancellation.h).
+  std::atomic<bool> raw_flag{false};
+  gradoop::common::CancellationToken disabled;
+  gradoop::common::CancellationToken armed;  // far deadline, never trips
+  armed.SetDeadline(std::chrono::steady_clock::now() + std::chrono::hours(24));
+  std::mutex raw_mutex;
+  gradoop::common::Mutex ranked(LockRank::kDataflow, "bench.lock_rank");
+  int checker_tag = 0;
+
+  const MicroLoop loops[] = {
+      {"cancellation",
+       5'000'000,
+       {{"raw_load", NsPerOp([&] {
+           if (raw_flag.load(std::memory_order_relaxed)) g_sink = g_sink + 1;
+         })},
+        {"disabled", NsPerOp([&] {
+           if (disabled.CheckCancelled()) g_sink = g_sink + 1;
+         })},
+        {"armed", NsPerOp([&] {
+           if (armed.CheckCancelled()) g_sink = g_sink + 1;
+         })}}},
+      {"lock_rank",
+       500'000,
+       {{"raw", NsPerOp([&] {
+           raw_mutex.lock();
+           g_sink = g_sink + 1;
+           raw_mutex.unlock();
+         })},
+        {"ranked", NsPerOp([&] {
+           ranked.lock();
+           g_sink = g_sink + 1;
+           ranked.unlock();
+         })},
+        // The checker round trip Debug-tree acquisitions pay on top of
+        // "raw", called directly so every build type measures it.
+        {"checker", NsPerOp([&] {
+           gradoop::common::RankCheckAcquire(LockRank::kDataflow,
+                                             "bench.checker", &checker_tag);
+           g_sink = g_sink + 1;
+           gradoop::common::RankCheckRelease(LockRank::kDataflow,
+                                             &checker_tag);
+         })}},
+       {{"rank_checks_compiled",
+         gradoop::common::LockRankCheckingEnabled() ? "1" : "0"}}},
+  };
+  for (const MicroLoop& loop : loops) {
+    const std::vector<double> medians = InterleavedMedians(
+        loop.modes.size(),
+        [&](size_t mode) { return loop.modes[mode].second(loop.iters); });
+    for (size_t mode = 0; mode < loop.modes.size(); ++mode) {
+      Params params = loop.params;
+      params["ns_per_op"] = Fixed(medians[mode], 2);
+      const RunResult result{
+          .wall_sec = medians[mode] * 1e-9 * static_cast<double>(loop.iters),
+          .records = loop.iters};
+      Report(&reporter, loop.overhead, loop.modes[mode].first, mode, medians,
+             "ns/op", std::move(params), result);
+    }
+  }
+  return 0;
+}

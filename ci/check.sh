@@ -230,7 +230,8 @@ fi
 # quality annotations in EXPLAIN ANALYZE for both engines, and gate a
 # fresh bench_ldbc_queries run against the committed baseline with
 # cypher_stats --baseline (matches exact; modeled fields within
-# tolerance; wall clock reported, never gated).
+# tolerance; wall clock reported, never gated), and smoke-run
+# bench_overheads.
 if [[ "${ONLY}" == "all" || "${ONLY}" == "observability" ]]; then
   echo "=== [observability] flight recorder + query log under ASan ==="
   # Always reconfigure + rebuild the targets — both are incremental, so
@@ -262,7 +263,7 @@ if [[ "${ONLY}" == "all" || "${ONLY}" == "observability" ]]; then
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGRADOOP_WERROR=ON >/dev/null
   cmake --build "${OUT}/plain" -j "${JOBS}" \
     --target cypher_explain cypher_stats bench_ldbc_queries \
-    bench_vectorized_kernels concurrency_lint >/dev/null
+    bench_vectorized_kernels bench_overheads concurrency_lint >/dev/null
   # Every executed operator must carry qerror= and sel= in EXPLAIN
   # ANALYZE on both engines — the per-plan face of the telemetry.
   for engine in row batch; do
@@ -295,6 +296,26 @@ if [[ "${ONLY}" == "all" || "${ONLY}" == "observability" ]]; then
   "${OUT}/plain/tools/cypher_stats" \
     "${OBS_DIR}/flight_recorder.json" \
     "${OBS_DIR}/BENCH_ldbc_queries.json" | grep -q "worst misestimates"
+
+  echo "=== [observability] bench_overheads smoke at sf 0.05 ==="
+  # Every overhead row must land in the artifact (ratios are reported,
+  # never gated), and a malformed scale factor must fail instead of
+  # silently running at sf 0.
+  rm -f "${OBS_DIR}/BENCH_overheads.json"
+  (cd "${OBS_DIR}" && GRADOOP_BENCH_SF=0.05 \
+    "${OUT}/plain/bench/bench_overheads" >/dev/null)
+  for overhead in telemetry memory_accounting cancellation lock_rank; do
+    if ! grep -q "\"overhead\": \"${overhead}\"" \
+      "${OBS_DIR}/BENCH_overheads.json"; then
+      echo "bench_overheads: no ${overhead} record" >&2
+      exit 1
+    fi
+  done
+  if (cd "${OBS_DIR}" && GRADOOP_BENCH_SF=abc \
+    "${OUT}/plain/bench/bench_overheads" >/dev/null 2>&1); then
+    echo "bench_overheads: GRADOOP_BENCH_SF=abc was accepted" >&2
+    exit 1
+  fi
 
   echo "=== [observability] concurrency_lint over src/telemetry ==="
   "${OUT}/plain/tools/concurrency_lint" --root "${ROOT}" src/telemetry

@@ -23,10 +23,10 @@
 // the ranked mutexes it holds; an acquisition that does not descend
 // strictly aborts the process, printing the offending mutex and the
 // full held-lock stack. Release builds compile the hooks out of
-// Mutex::lock/unlock entirely — bench_lock_rank_overhead pins that the
-// ranked mutex then costs exactly a raw std::mutex. The checker
-// functions themselves stay compiled in every build so tests and the
-// bench can drive them directly.
+// Mutex::lock/unlock entirely, so the ranked mutex then costs exactly a
+// raw std::mutex (lock_rank_test pins the NDEBUG switch; bench_overheads
+// reports ranked/raw). The checker functions themselves stay compiled in
+// every build so tests and the bench can drive them directly.
 //
 // kUnranked mutexes (the default for Mutex's rank-less constructor) are
 // exempt: they are neither tracked nor constrained. Engine code should
@@ -62,7 +62,7 @@ constexpr bool LockRankCheckingEnabled() {
 }
 
 // --- checker core (always compiled; Mutex calls it only in checked
-// builds, tests and bench_lock_rank_overhead call it directly) ---
+// builds, tests and bench_overheads call it directly) ---
 
 // Validates that acquiring (`rank`, `name`, identity `mutex`) strictly
 // descends from everything this thread holds, then pushes it onto the

@@ -21,26 +21,6 @@ namespace {
 
 using BatchDataset = dfl::Dataset<EmbeddingBatch>;
 
-// Resolver over a raw element during leaf scans: only the scanned
-// variable's properties are in scope (the row kernels' ElementResolver).
-cypher::ValueResolver ElementResolver(std::string variable,
-                                      const epgm::Properties& properties) {
-  return [variable = std::move(variable), &properties](
-             const std::string& var,
-             const std::string& key) -> epgm::PropertyValue {
-    if (var != variable) return epgm::PropertyValue::Null();
-    return properties.Get(key);
-  };
-}
-
-bool EvaluateClauses(const std::vector<cypher::CnfClause>& clauses,
-                     const cypher::ValueResolver& resolver) {
-  for (const cypher::CnfClause& clause : clauses) {
-    if (!cypher::EvaluateClause(clause, resolver)) return false;
-  }
-  return true;
-}
-
 // Clause evaluation against one batch row — the columnar counterpart of
 // EmbeddingMetaData::MakeResolver. Also valid for the *pending* row of a
 // builder (cells pushed, CommitRow not yet called), which is how the
@@ -57,23 +37,6 @@ bool RowPassesClauses(const std::vector<cypher::CnfClause>& clauses,
     return b.PropertyAt(column, row);
   };
   return EvaluateClauses(clauses, resolver);
-}
-
-// Projection keys for one scanned variable, read off the compiled meta.
-std::vector<std::string> ProjectedKeys(const EmbeddingMetaData& meta,
-                                       const std::string& variable) {
-  std::vector<std::string> out;
-  for (const auto& [var, key] : meta.PropertyColumnsInOrder()) {
-    assert(var == variable && "scan meta projects only the scanned variable");
-    (void)variable;
-    out.push_back(key);
-  }
-  return out;
-}
-
-bool AllDistinct(std::vector<uint64_t>* ids) {
-  std::sort(ids->begin(), ids->end());
-  return std::adjacent_find(ids->begin(), ids->end()) == ids->end();
 }
 
 // Column flags of a fresh batch for `meta`: only columns bound to a path

@@ -14,45 +14,11 @@ namespace dfl = ::gradoop::dataflow;
 
 namespace {
 
-// Resolver over a raw element during leaf scans: only the scanned
-// variable's properties are in scope.
-cypher::ValueResolver ElementResolver(std::string variable,
-                                      const epgm::Properties& properties) {
-  // `properties` refers to the element being scanned and outlives the
-  // resolver's use within one FlatMap call; the variable name is copied.
-  return [variable = std::move(variable), &properties](
-             const std::string& var,
-             const std::string& key) -> epgm::PropertyValue {
-    if (var != variable) return epgm::PropertyValue::Null();
-    return properties.Get(key);
-  };
-}
-
-bool EvaluateClauses(const std::vector<cypher::CnfClause>& clauses,
-                     const cypher::ValueResolver& resolver) {
-  for (const cypher::CnfClause& clause : clauses) {
-    if (!cypher::EvaluateClause(clause, resolver)) return false;
-  }
-  return true;
-}
-
 // Residual clauses of a fused filter, evaluated on the produced embedding.
 bool PassesResidual(const std::vector<cypher::CnfClause>& residual,
                     const EmbeddingMetaData& meta, const Embedding& e) {
   if (residual.empty()) return true;
   return EvaluateClauses(residual, meta.MakeResolver(e));
-}
-
-// Projection keys for one scanned variable, read off the compiled meta.
-std::vector<std::string> ProjectedKeys(const EmbeddingMetaData& meta,
-                                       const std::string& variable) {
-  std::vector<std::string> out;
-  for (const auto& [var, key] : meta.PropertyColumnsInOrder()) {
-    assert(var == variable && "scan meta projects only the scanned variable");
-    (void)variable;
-    out.push_back(key);
-  }
-  return out;
 }
 
 // Join key: concatenated 8-byte ids of the given columns.
@@ -67,11 +33,6 @@ std::string JoinKeyOf(const Embedding& embedding,
     key.append(buf, 8);
   }
   return key;
-}
-
-bool AllDistinct(std::vector<uint64_t>* ids) {
-  std::sort(ids->begin(), ids->end());
-  return std::adjacent_find(ids->begin(), ids->end()) == ids->end();
 }
 
 }  // namespace

@@ -1,9 +1,14 @@
 #ifndef GRADOOP_QUERY_OPERATORS_H_
 #define GRADOOP_QUERY_OPERATORS_H_
 
+#include <algorithm>
+#include <cassert>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cypher/expression.h"
 #include "cypher/query_graph.h"
 #include "dataflow/dataset.h"
 #include "epgm/adjacency_index.h"
@@ -133,6 +138,50 @@ EmbeddingSet ExpandEmbeddings(const EmbeddingSet& input,
                               const MorphismSetting& semantics,
                               const std::vector<cypher::CnfClause>& residual =
                                   {});
+
+// --- Kernel helpers shared by the row (operators.cc) and batch
+// (batch_operators.cc) kernels. Inline so the per-row calls stay
+// inlinable in both translation units.
+
+// Resolver over a raw element during leaf scans: only the scanned
+// variable's properties are in scope.
+inline cypher::ValueResolver ElementResolver(
+    std::string variable, const epgm::Properties& properties) {
+  // `properties` refers to the element being scanned and outlives the
+  // resolver's use within one FlatMap call; the variable name is copied.
+  return [variable = std::move(variable), &properties](
+             const std::string& var,
+             const std::string& key) -> epgm::PropertyValue {
+    if (var != variable) return epgm::PropertyValue::Null();
+    return properties.Get(key);
+  };
+}
+
+inline bool EvaluateClauses(const std::vector<cypher::CnfClause>& clauses,
+                            const cypher::ValueResolver& resolver) {
+  for (const cypher::CnfClause& clause : clauses) {
+    if (!cypher::EvaluateClause(clause, resolver)) return false;
+  }
+  return true;
+}
+
+// Projection keys for one scanned variable, read off the compiled meta.
+inline std::vector<std::string> ProjectedKeys(const EmbeddingMetaData& meta,
+                                              const std::string& variable) {
+  std::vector<std::string> out;
+  for (const auto& [var, key] : meta.PropertyColumnsInOrder()) {
+    assert(var == variable && "scan meta projects only the scanned variable");
+    (void)variable;
+    out.push_back(key);
+  }
+  return out;
+}
+
+// True iff `ids` holds no duplicate; sorts `ids` in place.
+inline bool AllDistinct(std::vector<uint64_t>* ids) {
+  std::sort(ids->begin(), ids->end());
+  return std::adjacent_find(ids->begin(), ids->end()) == ids->end();
+}
 
 }  // namespace gradoop::query
 

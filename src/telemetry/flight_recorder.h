@@ -22,7 +22,8 @@ uint64_t ApproxProfileBytes(const QueryProfile& profile);
 // recorder". The CypherEngine records a QueryProfile here after every
 // execution while telemetry is enabled; with telemetry off the engine
 // never calls in, so the disabled cost stays the telemetry layer's usual
-// single relaxed load (pinned by bench_flight_recorder).
+// single relaxed load (FlightRecorderEngineTest pins that nothing is
+// recorded; bench_overheads reports the on/off cost with telemetry).
 //
 // Retention is a ring: profiles are kept newest-last and evicted
 // oldest-first whenever the retained-byte estimate exceeds the byte

@@ -147,11 +147,23 @@ TEST(LockRankMutexTest, EngineLockOrderIsCheckedOrCompiledOut) {
       EXPECT_EQ(RankedLocksHeld(), 2u);
     } else {
       // Release builds compile the hooks out of lock/unlock entirely —
-      // the bench pins the cost side of this same contract.
+      // bench_overheads reports the cost side of this same contract.
       EXPECT_EQ(RankedLocksHeld(), 0u);
     }
   }
   EXPECT_EQ(RankedLocksHeld(), 0u);
+}
+
+// The structural half of the release contract: the hooks are compiled
+// out of Mutex::lock/unlock exactly under NDEBUG (unless
+// GRADOOP_FORCE_LOCK_RANK_CHECKS overrides), so a release mutex costs a
+// raw std::mutex and a Debug tree never silently stops checking.
+TEST(LockRankMutexTest, CheckingIsCompiledOutExactlyUnderNdebug) {
+#if defined(NDEBUG) && !defined(GRADOOP_FORCE_LOCK_RANK_CHECKS)
+  EXPECT_FALSE(LockRankCheckingEnabled());
+#else
+  EXPECT_TRUE(LockRankCheckingEnabled());
+#endif
 }
 
 #if GRADOOP_LOCK_RANK_CHECKS

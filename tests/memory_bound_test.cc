@@ -342,6 +342,8 @@ TEST(MemoryAccountingTest, DisablingAccountingZeroesActualsOnly) {
     EXPECT_GT(op->properties().memory.peak_bytes, 0u);
     EXPECT_EQ(op->stats().actual_peak_bytes, 0u);
   }
+  // No charge site bypasses the accountant's enabled() gate.
+  EXPECT_EQ(engine.graph().context()->accountant().peak_bytes(), 0u);
 }
 
 // --- the runtime audit -------------------------------------------------
