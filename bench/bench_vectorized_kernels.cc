@@ -7,6 +7,9 @@
 //   probe   the triangle join (per-row key strings and hash probes vs
 //           column-sliced key extraction and the u64 probe fast path)
 //   mixed   Query 6, joins plus scan sharing-sized intermediates
+//   scan    an unfiltered label-alternation scan (Comment|Post) with two
+//           projected properties: the per-label datasets read in place,
+//           the per-query fixed cost of LDBC Q1 and Q2's message scan
 //
 // Both engines must return identical match counts; the reported speedup
 // is best-of-N *execute-phase* wall clock row/batch — parse, analyze,
@@ -102,6 +105,7 @@ int main() {
        "RETURN m.creationDate"},
       {"probe", gradoop::ldbc::Query5()},
       {"mixed", gradoop::ldbc::Query6()},
+      {"scan", "MATCH (m:Comment|Post) RETURN m.creationDate, m.content"},
   };
 
   std::printf("%-8s %9s %12s %12s %8s\n", "kernel", "matches", "row [ms]",

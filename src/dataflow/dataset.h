@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -46,6 +47,63 @@ struct ZipPartitionStats {
   uint64_t state_records = 0;
 };
 
+// Partition p of several datasets read in place, in list order: a range
+// over their concatenation that copies no record. Holds pointers, so the
+// appended partitions must outlive it and its iterators.
+template <typename T>
+class ChainedPartition {
+ public:
+  // Walks each part's records in order; enough for range-for.
+  class Iterator {
+   public:
+    const T& operator*() const { return *cur_; }
+    Iterator& operator++() {
+      if (++cur_ == last_) Enter(part_ + 1);
+      return *this;
+    }
+    // The end iterator is the only one with a null cursor: empty parts
+    // are never appended, so a live cursor always points at a record.
+    bool operator==(const Iterator& other) const { return cur_ == other.cur_; }
+
+   private:
+    friend class ChainedPartition;
+
+    Iterator(const std::vector<T>* const* part,
+             const std::vector<T>* const* parts_end)
+        : parts_end_(parts_end) {
+      Enter(part);
+    }
+    void Enter(const std::vector<T>* const* part) {
+      part_ = part;
+      if (part_ == parts_end_) {
+        cur_ = last_ = nullptr;
+      } else {
+        cur_ = (*part_)->data();
+        last_ = cur_ + (*part_)->size();
+      }
+    }
+
+    const std::vector<T>* const* part_ = nullptr;
+    const std::vector<T>* const* parts_end_ = nullptr;
+    const T* cur_ = nullptr;
+    const T* last_ = nullptr;
+  };
+
+  void Append(const std::vector<T>& part) {
+    if (!part.empty()) parts_.push_back(&part);
+    size_ += part.size();
+  }
+  size_t size() const { return size_; }
+  Iterator begin() const {
+    return Iterator(parts_.data(), parts_.data() + parts_.size());
+  }
+  Iterator end() const { return Iterator(nullptr, nullptr); }
+
+ private:
+  std::vector<const std::vector<T>*> parts_;  // non-empty parts only
+  size_t size_ = 0;
+};
+
 // A distributed dataset: `num_workers` partitions, partition i owned by
 // simulated worker i. Transformations execute eagerly on the host thread
 // pool and charge the simulated cluster cost model of the shared
@@ -54,7 +112,10 @@ struct ZipPartitionStats {
 // budget).
 //
 // Dataset values are cheap shared handles; transformations return new
-// datasets and never mutate their input.
+// datasets and never mutate their input. A record the cost model keeps
+// in place is read in place on the host; records are copied only by
+// Filter and Distinct (survivors), Union, Collect, the hash exchanges
+// and Replicate. docs/INTERNALS.md tabulates every operation.
 template <typename T>
 class Dataset {
  public:
@@ -148,7 +209,7 @@ class Dataset {
       }
       in_counts[p] = src.size();
     });
-    ChargePerPartition(label, in_counts, in_counts);
+    ChargeNarrow(*ctx_, label, in_counts, in_counts);
     return Dataset<U>(ctx_, std::move(out));
   }
 
@@ -159,21 +220,34 @@ class Dataset {
   Dataset<U> FlatMap(F fn, const char* label = "FlatMap") const {
     auto out = std::make_shared<typename Dataset<U>::Partitions>(
         num_partitions());
+    FlatMapInto<U>(fn, out.get(), label);
+    return Dataset<U>(ctx_, std::move(out));
+  }
+
+  // FlatMap that appends to caller-owned partitions `out` instead of
+  // returning a new dataset: a bulk iteration folds its per-round
+  // emissions into one result this way without copying or moving a
+  // record a second time (a Union fold copies the accumulated result once
+  // per round). Charged like FlatMap for the records this call emits.
+  template <typename U, typename F>
+  void FlatMapInto(F fn, typename Dataset<U>::Partitions* out,
+                   const char* label = "FlatMap") const {
+    assert(out->size() == partitions_->size());
     std::vector<uint64_t> in_counts(num_partitions(), 0);
     std::vector<uint64_t> out_counts(num_partitions(), 0);
     common::CancellationToken& cancel = ctx_->cancellation();
     RunPerPartition(label, [&](int p) {
       const auto& src = (*partitions_)[p];
       auto& dst = (*out)[p];
+      const size_t before = dst.size();
       for (const T& rec : src) {
         if (cancel.CheckCancelled()) break;
         fn(rec, &dst);
       }
       in_counts[p] = src.size();
-      out_counts[p] = dst.size();
+      out_counts[p] = dst.size() - before;
     });
-    ChargePerPartition(label, in_counts, out_counts);
-    return Dataset<U>(ctx_, std::move(out));
+    ChargeNarrow(*ctx_, label, in_counts, out_counts);
   }
 
   // Partition-wise transformation (narrow): `fn(partition_index, records,
@@ -191,7 +265,7 @@ class Dataset {
       in_counts[p] = src.size();
       out_counts[p] = (*out)[p].size();
     });
-    ChargePerPartition(label, in_counts, out_counts);
+    ChargeNarrow(*ctx_, label, in_counts, out_counts);
     return Dataset<U>(ctx_, std::move(out));
   }
 
@@ -212,11 +286,13 @@ class Dataset {
       in_counts[p] = src.size();
       out_counts[p] = dst.size();
     });
-    ChargePerPartition(label, in_counts, out_counts);
+    ChargeNarrow(*ctx_, label, in_counts, out_counts);
     return Dataset<T>(ctx_, std::move(out));
   }
 
   // Partition-wise concatenation (narrow; Flink's union is not a shuffle).
+  // Unlike Flink's stream merge it copies every record of both inputs;
+  // scans read several datasets in place through DatasetList instead.
   Dataset<T> Union(const Dataset<T>& other) const {
     assert(num_partitions() == other.num_partitions());
     auto out = std::make_shared<Partitions>(num_partitions());
@@ -262,7 +338,7 @@ class Dataset {
       in_counts[p] = src.size();
       out_counts[p] = dst.size();
     });
-    ChargePerPartition("DistinctLocal", in_counts, out_counts);
+    ChargeNarrow(*ctx_, "DistinctLocal", in_counts, out_counts);
     ctx_->accountant().Release(staged_bytes);
     return Dataset<T>(ctx_, std::move(out));
   }
@@ -301,7 +377,7 @@ class Dataset {
       in_counts[p] = src.size();
       out_counts[p] = dst.size();
     });
-    ChargePerPartition("ReduceLocal", in_counts, out_counts);
+    ChargeNarrow(*ctx_, "ReduceLocal", in_counts, out_counts);
     ctx_->accountant().Release(staged_bytes);
     return Dataset<OutT>(ctx_, std::move(out));
   }
@@ -328,35 +404,39 @@ class Dataset {
     const int p = num_partitions();
     auto out = std::make_shared<typename Dataset<Out>::Partitions>(p);
 
-    // Phase 1: distribute both inputs.
-    typename Dataset<T>::Partitions left_parts;
-    typename Dataset<U>::Partitions right_parts;
+    // Phase 1: distribute both inputs. Each worker's probe side is one
+    // partition and its build side a chain of partitions; a side that
+    // does not move (adopted, or the broadcast probe side) is read in
+    // place, and the broadcast build side chains every right partition
+    // instead of copying them p times.
+    typename Dataset<T>::Partitions left_shuffled;
+    typename Dataset<U>::Partitions right_shuffled;
+    const Partitions* left_parts = partitions_.get();
+    const typename Dataset<U>::Partitions* right_parts =
+        right.partitions_.get();
+    std::vector<ChainedPartition<U>> right_in(p);
     if (strategy == JoinStrategy::kRepartition) {
       if (hints.left_prepartitioned) {
-        AdoptPrepartitioned(key_left, *partitions_, &left_parts, label);
+        AdoptPrepartitioned(key_left, *partitions_, label);
       } else {
-        left_parts.resize(p);
-        ShuffleInto(key_left, *partitions_, &left_parts, label);
+        ShuffleInto(key_left, *partitions_, &left_shuffled, label);
+        left_parts = &left_shuffled;
       }
       if (hints.right_prepartitioned) {
-        AdoptPrepartitioned(key_right, *right.partitions_, &right_parts,
-                            label);
+        AdoptPrepartitioned(key_right, *right.partitions_, label);
       } else {
-        right_parts.resize(p);
-        ShuffleIntoOther(key_right, right, &right_parts, label);
+        ShuffleIntoOther(key_right, right, &right_shuffled, label);
+        right_parts = &right_shuffled;
       }
+      for (int i = 0; i < p; ++i) right_in[i].Append((*right_parts)[i]);
     } else {
-      left_parts = *partitions_;  // stays in place
       const bool traced = ctx_->telemetry().enabled();
       const double span_begin_us =
           traced ? ctx_->telemetry().tracer().NowMicros() : 0.0;
       // Broadcast: every worker receives the full right side.
-      std::vector<U> all_right;
-      for (int i = 0; i < p; ++i) {
-        all_right.insert(all_right.end(), right.partition(i).begin(),
-                         right.partition(i).end());
+      for (int w = 0; w < p; ++w) {
+        for (int i = 0; i < p; ++i) right_in[w].Append(right.partition(i));
       }
-      right_parts.assign(p, all_right);
       // Network: worker w sends its right-partition to the (p-1) others
       // and receives everyone else's.
       std::vector<uint64_t> out_bytes(p, 0), in_bytes(p, 0);
@@ -387,7 +467,7 @@ class Dataset {
       // like a record entering a repartition shuffle (ShuffleInto counts
       // its inputs the same way) — without this the per-operator record
       // accounting was asymmetric between the two join strategies.
-      ctx_->tracker().AddRecords(static_cast<uint64_t>(all_right.size()));
+      ctx_->tracker().AddRecords(static_cast<uint64_t>(right_in[0].size()));
       if (traced) {
         telemetry::Telemetry& tel = ctx_->telemetry();
         tel.tracer().AddSpan(bc.label, telemetry::kCategoryStage,
@@ -403,8 +483,10 @@ class Dataset {
     }
 
     // Memory accounting (driver thread; see memory_accountant.h): the
-    // staged join-side copies exist from here until this call returns.
-    // Charges model the stage's state in the same currency as the static
+    // staged join sides exist from here until this call returns — on a
+    // cluster each worker holds its own copy of the broadcast side, so it
+    // is charged p times even though the host reads it in place. Charges
+    // model the stage's state in the same currency as the static
     // analysis — serialized record bytes plus a fixed per-table-entry
     // overhead — rather than tracing host allocations.
     MemoryAccountant& accountant = ctx_->accountant();
@@ -412,11 +494,11 @@ class Dataset {
     if (accountant.enabled()) {
       // cancellation: accounting byte walk over staged inputs; only runs
       // with memory accounting on, and the join loops below poll.
-      for (const auto& part : left_parts) {
+      for (const auto& part : *left_parts) {
         for (const T& rec : part) staged_bytes += RecordBytes(rec);
       }
-      for (const auto& part : right_parts) {
-        for (const U& rec : part) staged_bytes += RecordBytes(rec);
+      for (const auto& chain : right_in) {
+        for (const U& rec : chain) staged_bytes += RecordBytes(rec);
       }
       accountant.Charge(staged_bytes);
     }
@@ -426,8 +508,8 @@ class Dataset {
     const std::string build_probe_label = std::string(label) + "/BuildProbe";
     common::CancellationToken& cancel = ctx_->cancellation();
     RunPerPartition(build_probe_label.c_str(), [&](int part) {
-      const auto& lsrc = left_parts[part];
-      const auto& rsrc = right_parts[part];
+      const auto& lsrc = (*left_parts)[part];
+      const auto& rsrc = right_in[part];
       std::unordered_multimap<K, const U*> table;
       table.reserve(rsrc.size());
       uint64_t bytes = 0;
@@ -652,38 +734,6 @@ class Dataset {
     }
   }
 
-  // Charges a narrow stage with known per-partition record counts
-  // (simulated time = slowest worker, capturing skew).
-  void ChargePerPartition(const char* label,
-                          const std::vector<uint64_t>& in_counts,
-                          const std::vector<uint64_t>& out_counts) const {
-    const auto& cfg = ctx_->config();
-    StageCost cost;
-    cost.label = label;
-    double worst = 0.0;
-    uint64_t total = 0;
-    for (size_t i = 0; i < in_counts.size(); ++i) {
-      const uint64_t n = in_counts[i] + out_counts[i];
-      worst = std::max(worst, static_cast<double>(n) * cfg.seconds_per_record);
-      total += in_counts[i];
-    }
-    cost.compute_sec = worst;
-    cost.latency_sec = cfg.stage_latency_sec;
-    ctx_->tracker().AddStage(cost);
-    ctx_->tracker().AddRecords(total);
-    if (ctx_->telemetry().enabled()) {
-      auto& metrics = ctx_->telemetry().metrics();
-      metrics.AddCounter("stage.count", 1);
-      metrics.AddCounter("stage.records_in", total);
-      // Per-partition input sizes: the skew distribution behind ragged
-      // same-stage task spans.
-      for (const uint64_t n : in_counts) {
-        metrics.Observe("stage.partition_records",
-                        static_cast<double>(n));
-      }
-    }
-  }
-
   // Hash-shuffles `src` partitions into `dst` partitions by key, charging
   // network time for records that change workers.
   template <typename KeyFn, typename Rec>
@@ -723,16 +773,15 @@ class Dataset {
     ChargeExchange(*ctx_, label, tally, span_begin_us);
   }
 
-  // Adopts `src` as the already-partitioned join-side layout: the
-  // partitioning analysis proved every record sits at hash(key) % p, so
-  // no exchange runs, no stage is charged and no network bytes accrue.
-  // Counters record what was saved; with GRADOOP_AUDIT_PARTITIONING set,
-  // every record is re-hashed and the process hard-fails on the first
-  // one the proof misplaced.
+  // Adopts `src` as the already-partitioned join-side layout, read in
+  // place: the partitioning analysis proved every record sits at
+  // hash(key) % p, so no exchange runs, no stage is charged and no
+  // network bytes accrue. Counters record what was saved; with
+  // GRADOOP_AUDIT_PARTITIONING set, every record is re-hashed and the
+  // process hard-fails on the first one the proof misplaced.
   template <typename KeyFn, typename Rec>
   void AdoptPrepartitioned(KeyFn key,
                            const std::vector<std::vector<Rec>>& src,
-                           std::vector<std::vector<Rec>>* dst,
                            const char* label) const {
     if (PartitioningAuditEnabled()) {
       uint64_t checked = 0;
@@ -748,7 +797,6 @@ class Dataset {
         std::abort();
       }
     }
-    *dst = src;
     if (ctx_->telemetry().enabled()) {
       uint64_t bytes = 0, records = 0;
       // cancellation: telemetry byte walk over an adopted (zero-copy)
@@ -779,6 +827,60 @@ class Dataset {
 
   ExecutionContextPtr ctx_;
   std::shared_ptr<Partitions> partitions_;
+};
+
+// Several co-partitioned datasets of one record type read as one input,
+// in place: the per-label datasets of a label alternation
+// (epgm::IndexedLogicalGraph). Partition p is the chain of every member's
+// partition p, in list order — the layout a Union of the members would
+// hold, without copying a record into it.
+template <typename T>
+class DatasetList {
+ public:
+  DatasetList(ExecutionContextPtr ctx, std::vector<Dataset<T>> members)
+      : ctx_(std::move(ctx)), members_(std::move(members)) {
+    for ([[maybe_unused]] const Dataset<T>& m : members_) {
+      assert(m.num_partitions() == ctx_->num_workers());
+    }
+  }
+  // A one-member list.
+  DatasetList(const Dataset<T>& single)  // NOLINT(runtime/explicit)
+      : DatasetList(single.context(), {single}) {}
+
+  const ExecutionContextPtr& context() const { return ctx_; }
+  int num_partitions() const { return ctx_->num_workers(); }
+
+  ChainedPartition<T> partition(int p) const {
+    ChainedPartition<T> chain;
+    for (const Dataset<T>& m : members_) chain.Append(m.partition(p));
+    return chain;
+  }
+
+  // The multi-input narrow stage: partition p's task calls `fn(p,
+  // partition(p), &out)`. Charged exactly like Dataset::MapPartition over
+  // the members' Union (records in = the chain's length).
+  template <typename U, typename F>
+  Dataset<U> MapPartition(F fn, const char* label = "MapPartition") const {
+    const int n = num_partitions();
+    auto out = std::make_shared<typename Dataset<U>::Partitions>(n);
+    std::vector<uint64_t> in_counts(n, 0);
+    std::vector<uint64_t> out_counts(n, 0);
+    ctx_->pool().RunAndWait(
+        n,
+        [&](int p) {
+          const ChainedPartition<T> src = partition(p);
+          fn(p, src, &(*out)[p]);
+          in_counts[p] = src.size();
+          out_counts[p] = (*out)[p].size();
+        },
+        label);
+    ChargeNarrow(*ctx_, label, in_counts, out_counts);
+    return Dataset<U>(ctx_, std::move(out));
+  }
+
+ private:
+  ExecutionContextPtr ctx_;
+  std::vector<Dataset<T>> members_;
 };
 
 }  // namespace gradoop::dataflow

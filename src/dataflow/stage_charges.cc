@@ -4,6 +4,35 @@
 
 namespace gradoop::dataflow {
 
+void ChargeNarrow(ExecutionContext& ctx, const char* label,
+                  const std::vector<uint64_t>& in_counts,
+                  const std::vector<uint64_t>& out_counts) {
+  const auto& cfg = ctx.config();
+  StageCost cost;
+  cost.label = label;
+  double worst = 0.0;
+  uint64_t total = 0;
+  for (size_t i = 0; i < in_counts.size(); ++i) {
+    const uint64_t n = in_counts[i] + out_counts[i];
+    worst = std::max(worst, static_cast<double>(n) * cfg.seconds_per_record);
+    total += in_counts[i];
+  }
+  cost.compute_sec = worst;
+  cost.latency_sec = cfg.stage_latency_sec;
+  ctx.tracker().AddStage(cost);
+  ctx.tracker().AddRecords(total);
+  if (ctx.telemetry().enabled()) {
+    auto& metrics = ctx.telemetry().metrics();
+    metrics.AddCounter("stage.count", 1);
+    metrics.AddCounter("stage.records_in", total);
+    // Per-partition input sizes: the skew distribution behind ragged
+    // same-stage task spans.
+    for (const uint64_t n : in_counts) {
+      metrics.Observe("stage.partition_records", static_cast<double>(n));
+    }
+  }
+}
+
 void ChargeExchange(ExecutionContext& ctx, const std::string& label,
                     const ExchangeTally& tally, double span_begin_us) {
   const auto& cfg = ctx.config();

@@ -9,11 +9,20 @@
 
 namespace gradoop::dataflow {
 
-// The cost-model, accountant and telemetry charges of the two halves of a
-// repartition join: the key-directed exchange and the per-worker
-// build+probe. Dataset's exchanges and joins charge through these, and so
-// does the adjacency-walk Expand hop (query/operators.cc), which prices
-// the join it replaces from the same per-worker tallies.
+// The cost-model, accountant and telemetry charges of a narrow stage and
+// of the two halves of a repartition join: the key-directed exchange and
+// the per-worker build+probe. Dataset's transformations charge through
+// these, and so do DatasetList's multi-input scans and the adjacency-walk
+// Expand hop (query/operators.cc), which prices the join it replaces from
+// the same per-worker tallies.
+
+// Charges the narrow stage `label` from known per-partition record counts:
+// compute = slowest worker over (in + out) records, capturing skew, and
+// one record per input. With telemetry on, also the stage.* counters and
+// the per-partition input-size distribution.
+void ChargeNarrow(ExecutionContext& ctx, const char* label,
+                  const std::vector<uint64_t>& in_counts,
+                  const std::vector<uint64_t>& out_counts);
 
 // Per-worker tallies of one key-directed exchange.
 struct ExchangeTally {

@@ -17,7 +17,7 @@ struct Routed {
 
 }  // namespace
 
-AdjacencyIndex AdjacencyIndex::Build(const dataflow::Dataset<Edge>& edges,
+AdjacencyIndex AdjacencyIndex::Build(const dataflow::DatasetList<Edge>& edges,
                                      bool reverse) {
   const int p = edges.num_partitions();
   AdjacencyIndex index;

@@ -37,9 +37,10 @@ class AdjacencyIndex {
     uint64_t other = 0;
   };
 
-  // Builds the index of `edges`, sorting each partition on the context's
-  // pool. Charges nothing to the cost model or the memory accountant.
-  static AdjacencyIndex Build(const dataflow::Dataset<Edge>& edges,
+  // Builds the index of `edges` (read in place, members in list order),
+  // sorting each partition on the context's pool. Charges nothing to the
+  // cost model or the memory accountant.
+  static AdjacencyIndex Build(const dataflow::DatasetList<Edge>& edges,
                               bool reverse);
 
   int num_partitions() const { return static_cast<int>(parts_.size()); }

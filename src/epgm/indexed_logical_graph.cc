@@ -30,6 +30,24 @@ std::map<std::string, dataflow::Dataset<T>> SplitByLabel(
   return out;
 }
 
+// The per-label datasets of `labels` in that order, or every label's when
+// `labels` is empty. An absent label has no records to contribute.
+template <typename T>
+dataflow::DatasetList<T> ListOf(
+    const dataflow::ExecutionContextPtr& ctx,
+    const std::map<std::string, dataflow::Dataset<T>>& by_label,
+    const std::vector<std::string>& labels) {
+  std::vector<dataflow::Dataset<T>> members;
+  if (labels.empty()) {
+    for (const auto& [label, ds] : by_label) members.push_back(ds);
+  }
+  for (const std::string& label : labels) {
+    auto it = by_label.find(label);
+    if (it != by_label.end()) members.push_back(it->second);
+  }
+  return {ctx, std::move(members)};
+}
+
 }  // namespace
 
 IndexedLogicalGraph IndexedLogicalGraph::Build(const LogicalGraph& graph) {
@@ -73,26 +91,14 @@ dataflow::Dataset<Edge> IndexedLogicalGraph::EdgesByLabel(
   return it->second;
 }
 
-dataflow::Dataset<Vertex> IndexedLogicalGraph::AllVertices() const {
-  dataflow::Dataset<Vertex> out = dataflow::Dataset<Vertex>::Empty(ctx_);
-  for (const auto& [label, ds] : vertices_by_label_) out = out.Union(ds);
-  return out;
+dataflow::DatasetList<Vertex> IndexedLogicalGraph::VerticesOfLabels(
+    const std::vector<std::string>& labels) const {
+  return ListOf(ctx_, vertices_by_label_, labels);
 }
 
-dataflow::Dataset<Edge> IndexedLogicalGraph::AllEdges() const {
-  dataflow::Dataset<Edge> out = dataflow::Dataset<Edge>::Empty(ctx_);
-  for (const auto& [label, ds] : edges_by_label_) out = out.Union(ds);
-  return out;
-}
-
-dataflow::Dataset<Edge> IndexedLogicalGraph::EdgesOfTypes(
+dataflow::DatasetList<Edge> IndexedLogicalGraph::EdgesOfTypes(
     const std::vector<std::string>& types) const {
-  if (types.empty()) return AllEdges();
-  dataflow::Dataset<Edge> out = EdgesByLabel(types.front());
-  for (size_t i = 1; i < types.size(); ++i) {
-    out = out.Union(EdgesByLabel(types[i]));
-  }
-  return out;
+  return ListOf(ctx_, edges_by_label_, types);
 }
 
 std::shared_ptr<const AdjacencyIndex> IndexedLogicalGraph::Adjacency(

@@ -33,13 +33,14 @@ class IndexedLogicalGraph {
   dataflow::Dataset<Vertex> VerticesByLabel(const std::string& label) const;
   dataflow::Dataset<Edge> EdgesByLabel(const std::string& label) const;
 
-  // Union over all labels (used for unlabeled query elements).
-  dataflow::Dataset<Vertex> AllVertices() const;
-  dataflow::Dataset<Edge> AllEdges() const;
-
-  // Union of the per-label datasets of `types`, in that order; all edges
-  // when `types` is empty (an edge pattern's type alternation).
-  dataflow::Dataset<Edge> EdgesOfTypes(
+  // The per-label datasets of `labels` (`types`), in that order — a
+  // pattern element's label or type alternation — or every label's, in
+  // label order, when the list is empty (an unlabeled element). Scans
+  // read the list in place: no record is copied. An absent label
+  // contributes nothing.
+  dataflow::DatasetList<Vertex> VerticesOfLabels(
+      const std::vector<std::string>& labels) const;
+  dataflow::DatasetList<Edge> EdgesOfTypes(
       const std::vector<std::string>& types) const;
 
   // Adjacency of EdgesOfTypes(types) keyed by source id (target id when

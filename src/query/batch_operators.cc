@@ -522,7 +522,7 @@ EmbeddingSet BatchesToRows(const BatchSet& batches) {
   return {std::move(data), batches.meta};
 }
 
-BatchSet ScanVerticesBatch(const dataflow::Dataset<epgm::Vertex>& vertices,
+BatchSet ScanVerticesBatch(const dataflow::DatasetList<epgm::Vertex>& vertices,
                            const cypher::QueryVertex& query_vertex,
                            const std::vector<cypher::CnfClause>& predicates,
                            const EmbeddingMetaData& meta,
@@ -537,7 +537,7 @@ BatchSet ScanVerticesBatch(const dataflow::Dataset<epgm::Vertex>& vertices,
   auto data = vertices.MapPartition<EmbeddingBatch>(
       [query_vertex, predicates, projected, meta, residual,
        flags = std::move(flags), props, batch_size, &cancel](
-          int /*partition*/, const std::vector<epgm::Vertex>& src,
+          int /*partition*/, const dfl::ChainedPartition<epgm::Vertex>& src,
           std::vector<EmbeddingBatch>* out) {
         EmbeddingBatch builder(flags, props);
         for (const epgm::Vertex& v : src) {
@@ -570,7 +570,7 @@ BatchSet ScanVerticesBatch(const dataflow::Dataset<epgm::Vertex>& vertices,
   return {std::move(data), meta};
 }
 
-BatchSet ScanEdgesBatch(const dataflow::Dataset<epgm::Edge>& edges,
+BatchSet ScanEdgesBatch(const dataflow::DatasetList<epgm::Edge>& edges,
                         const cypher::QueryEdge& query_edge,
                         const std::vector<cypher::CnfClause>& predicates,
                         const MorphismSetting& semantics, bool self_loop,
@@ -591,7 +591,8 @@ BatchSet ScanEdgesBatch(const dataflow::Dataset<epgm::Edge>& edges,
       [query_edge, predicates, projected, self_loop, any_direction,
        drop_data_self_loops, meta, residual, flags = std::move(flags), props,
        batch_size,
-       &cancel](int /*partition*/, const std::vector<epgm::Edge>& src,
+       &cancel](int /*partition*/,
+                const dfl::ChainedPartition<epgm::Edge>& src,
                 std::vector<EmbeddingBatch>* out) {
         EmbeddingBatch builder(flags, props);
         auto emit = [&](const epgm::Edge& edge, uint64_t source,

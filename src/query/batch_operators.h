@@ -36,15 +36,18 @@ EmbeddingSet BatchesToRows(const BatchSet& batches);
 // only in processing whole column batches per dataflow record.
 
 // Scan kernels: materialize batches of up to `batch_size` rows directly
-// from each element partition (no per-row Embedding is ever built).
-BatchSet ScanVerticesBatch(const dataflow::Dataset<epgm::Vertex>& vertices,
+// from each element partition (no per-row Embedding is ever built). The
+// per-label datasets of an alternation are read in place, in list order,
+// and one builder carries on across their boundaries, so batches are cut
+// exactly where a scan of their Union would cut them.
+BatchSet ScanVerticesBatch(const dataflow::DatasetList<epgm::Vertex>& vertices,
                            const cypher::QueryVertex& query_vertex,
                            const std::vector<cypher::CnfClause>& predicates,
                            const EmbeddingMetaData& meta,
                            const std::vector<cypher::CnfClause>& residual,
                            int batch_size);
 
-BatchSet ScanEdgesBatch(const dataflow::Dataset<epgm::Edge>& edges,
+BatchSet ScanEdgesBatch(const dataflow::DatasetList<epgm::Edge>& edges,
                         const cypher::QueryEdge& query_edge,
                         const std::vector<cypher::CnfClause>& predicates,
                         const MorphismSetting& semantics, bool self_loop,

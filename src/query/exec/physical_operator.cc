@@ -44,19 +44,6 @@ std::string ElisionSuffix(bool left, bool right, const std::string& keys) {
          keys + ")";
 }
 
-// Selects the scan input for a label alternation from the indexed graph:
-// single-label predicates load exactly one per-label dataset (§3.4).
-dfl::Dataset<epgm::Vertex> VertexScanInput(
-    const epgm::IndexedLogicalGraph& graph,
-    const std::vector<std::string>& labels) {
-  if (labels.empty()) return graph.AllVertices();
-  dfl::Dataset<epgm::Vertex> out = graph.VerticesByLabel(labels.front());
-  for (size_t i = 1; i < labels.size(); ++i) {
-    out = out.Union(graph.VerticesByLabel(labels[i]));
-  }
-  return out;
-}
-
 }  // namespace
 
 Status PhysicalOperator::Open(const ExecEnv& env) {
@@ -335,14 +322,14 @@ Result<EmbeddingSet> VertexScanOp::Run(const ExecEnv& env,
                                        std::vector<EmbeddingSet> inputs) {
   (void)inputs;
   return SelectAndProjectVertices(
-      VertexScanInput(*env.graph, query_vertex_.labels), query_vertex_,
+      env.graph->VerticesOfLabels(query_vertex_.labels), query_vertex_,
       predicates_, output_meta_, fused_clauses_);
 }
 
 Result<BatchSet> VertexScanOp::RunBatch(const ExecEnv& env,
                                         std::vector<BatchSet> inputs) {
   (void)inputs;
-  return ScanVerticesBatch(VertexScanInput(*env.graph, query_vertex_.labels),
+  return ScanVerticesBatch(env.graph->VerticesOfLabels(query_vertex_.labels),
                            query_vertex_, predicates_, output_meta_,
                            fused_clauses_, env.batch_size);
 }

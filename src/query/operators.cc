@@ -38,34 +38,38 @@ std::string JoinKeyOf(const Embedding& embedding,
 }  // namespace
 
 EmbeddingSet SelectAndProjectVertices(
-    const dataflow::Dataset<epgm::Vertex>& vertices,
+    const dataflow::DatasetList<epgm::Vertex>& vertices,
     const cypher::QueryVertex& query_vertex,
     const std::vector<cypher::CnfClause>& predicates,
     const EmbeddingMetaData& meta,
     const std::vector<cypher::CnfClause>& residual) {
   const std::vector<std::string> projected =
       ProjectedKeys(meta, query_vertex.variable);
-  auto data = vertices.FlatMap<Embedding>(
-      [query_vertex, predicates, projected, meta, residual](
-          const epgm::Vertex& v, std::vector<Embedding>* out) {
-        if (!query_vertex.MatchesLabel(v.label)) return;
-        const auto resolver =
-            ElementResolver(query_vertex.variable, v.properties);
-        if (!EvaluateClauses(predicates, resolver)) return;
-        Embedding e;
-        e.AppendId(v.id);
-        for (const std::string& key : projected) {
-          e.AppendProperty(v.properties.Get(key));
+  common::CancellationToken& cancel = vertices.context()->cancellation();
+  auto data = vertices.MapPartition<Embedding>(
+      [&](int /*partition*/, const dfl::ChainedPartition<epgm::Vertex>& src,
+          std::vector<Embedding>* out) {
+        for (const epgm::Vertex& v : src) {
+          if (cancel.CheckCancelled()) break;
+          if (!query_vertex.MatchesLabel(v.label)) continue;
+          const auto resolver =
+              ElementResolver(query_vertex.variable, v.properties);
+          if (!EvaluateClauses(predicates, resolver)) continue;
+          Embedding e;
+          e.AppendId(v.id);
+          for (const std::string& key : projected) {
+            e.AppendProperty(v.properties.Get(key));
+          }
+          if (!PassesResidual(residual, meta, e)) continue;
+          out->push_back(std::move(e));
         }
-        if (!PassesResidual(residual, meta, e)) return;
-        out->push_back(std::move(e));
       },
       "SelectAndProjectVertices");
   return {std::move(data), meta};
 }
 
 EmbeddingSet SelectAndProjectEdges(
-    const dataflow::Dataset<epgm::Edge>& edges,
+    const dataflow::DatasetList<epgm::Edge>& edges,
     const cypher::QueryEdge& query_edge,
     const std::vector<cypher::CnfClause>& predicates,
     const MorphismSetting& semantics, bool self_loop,
@@ -80,32 +84,38 @@ EmbeddingSet SelectAndProjectEdges(
   const std::vector<std::string> projected =
       ProjectedKeys(meta, query_edge.variable);
   const bool any_direction = query_edge.any_direction;
-  auto data = edges.FlatMap<Embedding>(
-      [query_edge, predicates, projected, self_loop, any_direction,
-       drop_data_self_loops, meta, residual](const epgm::Edge& edge,
-                                             std::vector<Embedding>* out) {
-        if (!query_edge.MatchesType(edge.label)) return;
-        if (self_loop && edge.source_id != edge.target_id) return;
-        if (drop_data_self_loops && edge.source_id == edge.target_id) return;
-        const auto resolver =
-            ElementResolver(query_edge.variable, edge.properties);
-        if (!EvaluateClauses(predicates, resolver)) return;
-        auto emit = [&](uint64_t src, uint64_t dst) {
+  common::CancellationToken& cancel = edges.context()->cancellation();
+  auto data = edges.MapPartition<Embedding>(
+      [&](int /*partition*/, const dfl::ChainedPartition<epgm::Edge>& src,
+          std::vector<Embedding>* out) {
+        auto emit = [&](const epgm::Edge& edge, uint64_t source,
+                        uint64_t target) {
           Embedding e;
-          e.AppendId(src);
+          e.AppendId(source);
           e.AppendId(edge.id);
-          if (!self_loop) e.AppendId(dst);
+          if (!self_loop) e.AppendId(target);
           for (const std::string& key : projected) {
             e.AppendProperty(edge.properties.Get(key));
           }
           if (!PassesResidual(residual, meta, e)) return;
           out->push_back(std::move(e));
         };
-        emit(edge.source_id, edge.target_id);
-        // Undirected pattern: the edge also matches flipped (unless it is
-        // a data self-loop, which would duplicate).
-        if (any_direction && edge.source_id != edge.target_id) {
-          emit(edge.target_id, edge.source_id);
+        for (const epgm::Edge& edge : src) {
+          if (cancel.CheckCancelled()) break;
+          if (!query_edge.MatchesType(edge.label)) continue;
+          if (self_loop && edge.source_id != edge.target_id) continue;
+          if (drop_data_self_loops && edge.source_id == edge.target_id) {
+            continue;
+          }
+          const auto resolver =
+              ElementResolver(query_edge.variable, edge.properties);
+          if (!EvaluateClauses(predicates, resolver)) continue;
+          emit(edge, edge.source_id, edge.target_id);
+          // Undirected pattern: the edge also matches flipped (unless it
+          // is a data self-loop, which would duplicate).
+          if (any_direction && edge.source_id != edge.target_id) {
+            emit(edge, edge.target_id, edge.source_id);
+          }
         }
       },
       "SelectAndProjectEdges");
@@ -419,15 +429,18 @@ EmbeddingSet ExpandEmbeddings(const EmbeddingSet& input,
       },
       "ExpandInit");
 
-  std::vector<dfl::Dataset<Embedding>> emitted;
+  // Every hop's emissions append to one result: per partition, hop k's
+  // rows follow hop k-1's, the order a Union fold would produce.
+  auto results = std::make_shared<dfl::Dataset<Embedding>::Partitions>(
+      input.data.num_partitions());
   std::vector<dfl::Dataset<ExpandState>> paths;
 
   if (lower_bound == 0) {
-    emitted.push_back(frontier.FlatMap<Embedding>(
+    frontier.FlatMapInto<Embedding>(
         [emit](const ExpandState& s, std::vector<Embedding>* out) {
           emit(s, out);
         },
-        "ExpandEmitZero"));
+        results.get(), "ExpandEmitZero");
   }
 
   common::CancellationToken& cancel = input.data.context()->cancellation();
@@ -445,19 +458,15 @@ EmbeddingSet ExpandEmbeddings(const EmbeddingSet& input,
     frontier = ExpandHop(frontier, adjacency, step, &paths);
 
     if (k >= lower_bound) {
-      emitted.push_back(frontier.FlatMap<Embedding>(
+      frontier.FlatMapInto<Embedding>(
           [emit](const ExpandState& s, std::vector<Embedding>* out) {
             emit(s, out);
           },
-          "ExpandEmit"));
+          results.get(), "ExpandEmit");
     }
   }
-  dfl::Dataset<Embedding> results =
-      dfl::Dataset<Embedding>::Empty(input.data.context());
-  // cancellation: folds at most upper_bound per-hop result handles;
-  // Union is a pure partition splice with no per-record work.
-  for (const auto& part : emitted) results = results.Union(part);
-  return {std::move(results), result_meta};
+  return {dfl::Dataset<Embedding>(input.data.context(), std::move(results)),
+          result_meta};
 }
 
 }  // namespace gradoop::query

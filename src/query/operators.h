@@ -33,13 +33,14 @@ struct EmbeddingSet {
 // pushed into the operator; they are evaluated on each produced embedding
 // via the output meta's resolver before it is emitted.
 
-// SelectAndProjectVertices: filters `vertices` by the query vertex's label
+// SelectAndProjectVertices: filters `vertices` — the per-label datasets
+// of the query vertex's label alternation, read in place — by that
 // alternation and its element-centric predicates, projects the properties
 // listed in `meta` and transforms each survivor into a one-column
-// embedding. Executed as a single FlatMap (Select -> Project -> Transform
-// fusion).
+// embedding. Executed as a single narrow stage (Select -> Project ->
+// Transform fusion).
 EmbeddingSet SelectAndProjectVertices(
-    const dataflow::Dataset<epgm::Vertex>& vertices,
+    const dataflow::DatasetList<epgm::Vertex>& vertices,
     const cypher::QueryVertex& query_vertex,
     const std::vector<cypher::CnfClause>& predicates,
     const EmbeddingMetaData& meta,
@@ -51,7 +52,7 @@ EmbeddingSet SelectAndProjectVertices(
 // equals its target variable), only edges with source == target survive
 // and the embedding carries two columns.
 EmbeddingSet SelectAndProjectEdges(
-    const dataflow::Dataset<epgm::Edge>& edges,
+    const dataflow::DatasetList<epgm::Edge>& edges,
     const cypher::QueryEdge& query_edge,
     const std::vector<cypher::CnfClause>& predicates,
     const MorphismSetting& semantics, bool self_loop,

@@ -41,7 +41,7 @@ std::vector<Edge> SampleEdges() {
 // The definition the index must meet: `key`'s entries in input order —
 // source partitions ascending, then record order.
 std::vector<std::pair<uint64_t, uint64_t>> Expected(
-    const dataflow::Dataset<Edge>& edges, uint64_t key, bool reverse) {
+    const dataflow::DatasetList<Edge>& edges, uint64_t key, bool reverse) {
   std::vector<std::pair<uint64_t, uint64_t>> out;
   for (int i = 0; i < edges.num_partitions(); ++i) {
     for (const Edge& e : edges.partition(i)) {
@@ -61,7 +61,8 @@ std::vector<std::pair<uint64_t, uint64_t>> Pairs(std::span<const Neighbor> s) {
 // Every key's adjacency sits exactly in partition hash(key) % p and
 // matches the input-order definition; other partitions hold nothing.
 void ExpectIndexMatches(const AdjacencyIndex& index,
-                        const dataflow::Dataset<Edge>& edges, bool reverse) {
+                        const dataflow::DatasetList<Edge>& edges,
+                        bool reverse) {
   const int p = edges.num_partitions();
   ASSERT_EQ(index.num_partitions(), p);
   EXPECT_EQ(index.reverse(), reverse);
@@ -180,7 +181,7 @@ TEST(AdjacencyIndexTest, GraphIndexesLabelSetsAndUnlabeledEdges) {
   ExpectIndexMatches(*ab, graph.EdgesOfTypes({"a", "b"}), true);
   const auto all = graph.Adjacency({}, false);
   EXPECT_EQ(all->num_edges(), 8u);
-  ExpectIndexMatches(*all, graph.AllEdges(), false);
+  ExpectIndexMatches(*all, graph.EdgesOfTypes({}), false);
 }
 
 TEST(AdjacencyIndexTest, MissingLabelYieldsAnEmptyIndex) {

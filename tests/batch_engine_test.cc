@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "dataflow/partitioning_audit.h"
+#include "epgm/indexed_logical_graph.h"
 #include "ldbc/ldbc_generator.h"
 #include "ldbc/queries.h"
 #include "query/cypher_engine.h"
@@ -180,6 +181,44 @@ TEST(BatchEngineTest, ExplainAnalyzeReportsBatchesAndSelectivity) {
   auto row_analyzed = row.ExplainAnalyze(ldbc::Query5());
   ASSERT_TRUE(row_analyzed.ok()) << row_analyzed.status();
   EXPECT_EQ(row_analyzed.value().find("batches="), std::string::npos);
+}
+
+TEST(BatchEngineTest, AlternationScanCutsBatchesAcrossLabelBoundaries) {
+  // Q1's message scan reads the Comment and Post datasets in place, and
+  // one builder carries on across the label boundary: each partition's
+  // rows are cut into batches exactly as a scan of the two labels' union
+  // would cut them, not into one ragged tail batch per label.
+  const epgm::LogicalGraph graph = SmallLdbc();
+  const epgm::IndexedLogicalGraph indexed =
+      epgm::IndexedLogicalGraph::Build(graph);
+  const std::vector<std::string> labels = {"Comment", "Post"};
+  const int batch_size = 7;
+  auto batches_of = [&](uint64_t rows) {
+    return (rows + batch_size - 1) / batch_size;
+  };
+  uint64_t straddling = 0;
+  uint64_t per_label = 0;
+  const auto messages = indexed.VerticesOfLabels(labels);
+  for (int p = 0; p < messages.num_partitions(); ++p) {
+    straddling += batches_of(messages.partition(p).size());
+    for (const std::string& label : labels) {
+      per_label +=
+          batches_of(indexed.VerticesByLabel(label).partition(p).size());
+    }
+  }
+  ASSERT_NE(straddling, per_label) << "no batch straddles a label boundary";
+
+  CypherEngine tiny(graph, BatchOptions(batch_size));
+  auto analyzed = tiny.ExplainAnalyze(ldbc::Query1("Alice"));
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+  const std::string& text = analyzed.value();
+  const size_t scan = text.find("ScanVertices(message:Comment|Post)");
+  ASSERT_NE(scan, std::string::npos) << text;
+  const size_t batches = text.find("batches=", scan);
+  ASSERT_NE(batches, std::string::npos) << text;
+  EXPECT_EQ(std::strtoull(text.c_str() + batches + 8, nullptr, 10),
+            straddling)
+      << text;
 }
 
 TEST(BatchEngineTest, RejectsNonPositiveBatchSize) {

@@ -1,12 +1,15 @@
-// Pins the simulated cost model of the variable-length LDBC queries: the
-// paper's figures are computed from these charges, so a change to how
-// Expand runs on the host must leave every one of them bit-identical.
-// Q2 (replyOf*0..10) and Q3 (replyOf*1..10) run at scale factor 0.05
-// (generator seed 42) under both engines with telemetry and memory
-// accounting on; the test compares simulated seconds (exactly, as a hex
-// float), network bytes, records, each operator's measured peak and the
-// shuffle counters against the values below. The wall-clock baseline
-// gate tolerates 10% and would let a drift through. Re-capture with
+// Pins the simulated cost model of four LDBC queries: the paper's figures
+// are computed from these charges, so a change to how records move on the
+// host must leave every one of them bit-identical. Q1 scans a vertex label
+// alternation (Comment|Post), Q4 an edge type alternation
+// (hasMember|hasModerator) feeding broadcast joins, and Q2
+// (replyOf*0..10) and Q3 (replyOf*1..10) fold Expand hops. All run at
+// scale factor 0.05 (generator seed 42) under both engines with telemetry
+// and memory accounting on; the test compares simulated seconds (exactly,
+// as a hex float), network bytes, records, each operator's measured peak
+// and the shuffle counters against the values below. The wall-clock
+// baseline gate tolerates 10% and would let a drift through. Re-capture
+// with
 //
 //   GRADOOP_PRINT_PARITY=1 ./cost_parity_test
 //
@@ -94,6 +97,20 @@ std::string Render(const CostFigures& f) {
 std::vector<ParityCase> Cases() {
   using Engine = PlannerOptions::ExecutionEngine;
   return {
+      {"q1_row", ldbc::Query1("Alice"), Engine::kRow,
+       {0x1.b3830481c4e6ap-3, 5733, 3200, 2, 5733,
+        {95251, 36680, 58571, 27300, 231}}},
+      {"q1_batch", ldbc::Query1("Alice"), Engine::kBatch,
+       {0x1.7b200c39f5194p-3, 4068, 1560, 2, 4068,
+        {92656, 38848, 37348, 16876, 156}}},
+      {"q4_row", ldbc::Query4(), Engine::kRow,
+       {0x1.20eb148b7d4c3p-1, 90585, 4208, 8, 90585,
+        {116814, 82120, 18057, 50110, 50110, 3081, 42474, 1841, 40633, 3900,
+         29237, 29237, 4922, 1677, 185, 716, 3780}}},
+      {"q4_batch", ldbc::Query4(), Engine::kBatch,
+       {0x1.13bb29e226a63p-1, 93261, 1188, 8, 93261,
+        {118654, 71662, 11188, 50757, 50757, 1972, 43296, 1659, 39710, 2476,
+         27128, 27128, 5290, 1108, 228, 684, 3348}}},
       {"q2_row", ldbc::Query2("Alice"), Engine::kRow,
        {0x1.a460fd9bcca4cp-1, 122699, 9375, 13, 144779,
         {169062, 95251, 95251, 36680, 58571, 27300, 231, 15190}}},

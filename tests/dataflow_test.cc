@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "dataflow/bulk_iteration.h"
 #include "dataflow/dataset.h"
@@ -295,6 +298,165 @@ TEST(DatasetTest, SingleWorkerStillWorks) {
   auto ds = Dataset<int>::FromVector(ctx, {3, 1, 2});
   EXPECT_EQ(Sorted(ds.Collect()), (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(ds.Count(), 3u);
+}
+
+// A record that counts its copies; moves are free. Lets a test assert
+// that an operation reads records in place instead of copying them.
+struct Counted {
+  // relaxed: pool tasks bump it concurrently; the test reads it only
+  // after RunAndWait has joined them.
+  static inline std::atomic<uint64_t> copies{0};
+
+  int key = 0;
+  int value = 0;
+
+  Counted(int k, int v) : key(k), value(v) {}
+  Counted(const Counted& other) : key(other.key), value(other.value) {
+    copies.fetch_add(1, std::memory_order_relaxed);
+  }
+  Counted& operator=(const Counted& other) {
+    key = other.key;
+    value = other.value;
+    copies.fetch_add(1, std::memory_order_relaxed);
+    return *this;
+  }
+  Counted(Counted&&) noexcept = default;
+  Counted& operator=(Counted&&) noexcept = default;
+
+  size_t SerializedSize() const { return 2 * sizeof(int); }
+};
+
+uint64_t CountedKey(const Counted& c) { return static_cast<uint64_t>(c.key); }
+
+// Builds records in place, so FromVector's move is the only transfer.
+Dataset<Counted> CountedDataset(ExecutionContextPtr ctx, int first, int n) {
+  std::vector<Counted> data;
+  data.reserve(n);
+  for (int i = 0; i < n; ++i) data.emplace_back(first + i, 10 * (first + i));
+  return Dataset<Counted>::FromVector(std::move(ctx), std::move(data));
+}
+
+// Every partition's (key, value) pairs, read without copying a record.
+std::vector<std::vector<std::pair<int, int>>> Contents(
+    const Dataset<Counted>& ds) {
+  std::vector<std::vector<std::pair<int, int>>> out(ds.num_partitions());
+  for (int p = 0; p < ds.num_partitions(); ++p) {
+    for (const Counted& c : ds.partition(p)) {
+      out[p].emplace_back(c.key, c.value);
+    }
+  }
+  return out;
+}
+
+TEST(ZeroCopyTest, DatasetListStageReadsEveryInputInPlace) {
+  auto ctx = Ctx(4);
+  const auto a = CountedDataset(ctx, 0, 37);
+  const auto b = CountedDataset(ctx, 100, 5);
+  const auto c = CountedDataset(ctx, 200, 0);
+  const auto before_a = Contents(a);
+  const auto before_b = Contents(b);
+  auto values = [](int, const ChainedPartition<Counted>& src,
+                   std::vector<int>* out) {
+    for (const Counted& rec : src) out->push_back(rec.value);
+  };
+  ctx->tracker().Reset();
+  Counted::copies = 0;
+  const Dataset<int> listed =
+      DatasetList<Counted>(ctx, {a, c, b}).MapPartition<int>(values, "Scan");
+  EXPECT_EQ(Counted::copies.load(), 0u);
+  const double list_sec = ctx->tracker().SimulatedSeconds();
+  const uint64_t list_records = ctx->tracker().TotalRecords();
+
+  // Same rows, same partition order and same charges as a MapPartition
+  // over the members' Union (which copies every record).
+  const auto unioned = a.Union(c).Union(b);
+  ctx->tracker().Reset();
+  const Dataset<int> expected = unioned.MapPartition<int>(
+      [](int, const std::vector<Counted>& src, std::vector<int>* out) {
+        for (const Counted& rec : src) out->push_back(rec.value);
+      },
+      "Scan");
+  EXPECT_EQ(ctx->tracker().SimulatedSeconds(), list_sec);
+  EXPECT_EQ(ctx->tracker().TotalRecords(), list_records);
+  for (int p = 0; p < ctx->num_workers(); ++p) {
+    EXPECT_EQ(listed.partition(p), expected.partition(p)) << "partition " << p;
+  }
+  EXPECT_EQ(Contents(a), before_a);
+  EXPECT_EQ(Contents(b), before_b);
+}
+
+TEST(ZeroCopyTest, ExpandStyleFoldAppendsEachRoundWithoutCopies) {
+  auto ctx = Ctx(3);
+  const auto input = CountedDataset(ctx, 0, 20);
+  const auto before = Contents(input);
+  // Three rounds each emit one fresh record per input record into one
+  // accumulator, as ExpandEmbeddings folds its per-hop emissions.
+  auto emit_round = [](int round) {
+    return [round](const Counted& rec, std::vector<Counted>* out) {
+      out->emplace_back(rec.key, 1000 * round + rec.value);
+    };
+  };
+  Counted::copies = 0;
+  auto folded = std::make_shared<Dataset<Counted>::Partitions>(3);
+  for (int round = 0; round < 3; ++round) {
+    input.FlatMapInto<Counted>(emit_round(round), folded.get(), "Emit");
+  }
+  EXPECT_EQ(Counted::copies.load(), 0u);
+  const Dataset<Counted> result(ctx, std::move(folded));
+
+  // Per partition, round k's records follow round k-1's: a Union fold's
+  // order.
+  Dataset<Counted> unioned = Dataset<Counted>::Empty(ctx);
+  for (int round = 0; round < 3; ++round) {
+    unioned = unioned.Union(
+        input.FlatMap<Counted>(emit_round(round), "Emit"));
+  }
+  EXPECT_EQ(Contents(result), Contents(unioned));
+  EXPECT_EQ(Contents(input), before);
+}
+
+TEST(ZeroCopyTest, BroadcastJoinReadsBothSidesInPlace) {
+  auto ctx = Ctx(4);
+  const auto left = CountedDataset(ctx, 0, 50);
+  const auto right = CountedDataset(ctx, 10, 7);
+  const auto before_left = Contents(left);
+  const auto before_right = Contents(right);
+  auto joiner = [](const Counted& l, const Counted& r, std::vector<int>* out) {
+    out->push_back(l.value + r.value);
+  };
+  Counted::copies = 0;
+  const auto broadcast = left.HashJoin<int>(right, CountedKey, CountedKey,
+                                            joiner, JoinStrategy::kBroadcast);
+  EXPECT_EQ(Counted::copies.load(), 0u);
+  const auto repartitioned = left.HashJoin<int>(
+      right, CountedKey, CountedKey, joiner, JoinStrategy::kRepartition);
+  EXPECT_EQ(Sorted(broadcast.Collect()), Sorted(repartitioned.Collect()));
+  EXPECT_EQ(broadcast.Collect().size(), 7u);
+  EXPECT_EQ(Contents(left), before_left);
+  EXPECT_EQ(Contents(right), before_right);
+}
+
+TEST(ZeroCopyTest, ElidedShuffleJoinAdoptsBothSidesInPlace) {
+  auto ctx = Ctx(4);
+  const auto left = CountedDataset(ctx, 0, 60).RepartitionByKey(CountedKey);
+  const auto right = CountedDataset(ctx, 30, 60).RepartitionByKey(CountedKey);
+  const auto before_left = Contents(left);
+  const auto before_right = Contents(right);
+  auto joiner = [](const Counted& l, const Counted& r, std::vector<int>* out) {
+    out->push_back(l.value + r.value);
+  };
+  Counted::copies = 0;
+  const auto adopted = left.HashJoin<int>(
+      right, CountedKey, CountedKey, joiner, JoinStrategy::kRepartition,
+      "Join", JoinShuffleHints{.left_prepartitioned = true,
+                               .right_prepartitioned = true});
+  EXPECT_EQ(Counted::copies.load(), 0u);
+  const auto shuffled = left.HashJoin<int>(right, CountedKey, CountedKey,
+                                           joiner, JoinStrategy::kRepartition);
+  EXPECT_EQ(Sorted(adopted.Collect()), Sorted(shuffled.Collect()));
+  EXPECT_EQ(adopted.Collect().size(), 30u);
+  EXPECT_EQ(Contents(left), before_left);
+  EXPECT_EQ(Contents(right), before_right);
 }
 
 TEST(BulkIterationTest, RunsBodyUntilBound) {

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "epgm/csv_io.h"
 #include "epgm/indexed_logical_graph.h"
@@ -32,6 +36,14 @@ LogicalGraph SmallGraph(dataflow::ExecutionContextPtr ctx) {
                                    std::move(vertices), std::move(edges));
 }
 
+// Records in a dataset list, read off its chained partitions.
+template <typename T>
+uint64_t Size(const dataflow::DatasetList<T>& list) {
+  uint64_t n = 0;
+  for (int p = 0; p < list.num_partitions(); ++p) n += list.partition(p).size();
+  return n;
+}
+
 TEST(LogicalGraphTest, CountsAndHead) {
   auto g = SmallGraph(Ctx());
   EXPECT_EQ(g.vertices().Count(), 3u);
@@ -47,9 +59,27 @@ TEST(IndexedGraphTest, SplitsByLabel) {
   EXPECT_EQ(idx.VerticesByLabel("Ghost").Count(), 0u);
   EXPECT_EQ(idx.EdgesByLabel("knows").Count(), 1u);
   EXPECT_EQ(idx.EdgesByLabel("livesIn").Count(), 2u);
-  EXPECT_EQ(idx.AllVertices().Count(), 3u);
-  EXPECT_EQ(idx.AllEdges().Count(), 3u);
+  EXPECT_EQ(Size(idx.VerticesOfLabels({})), 3u);
+  EXPECT_EQ(Size(idx.EdgesOfTypes({})), 3u);
   EXPECT_EQ(idx.VertexLabels(), (std::vector<std::string>{"City", "Person"}));
+}
+
+TEST(IndexedGraphTest, AlternationsListPerLabelDatasetsInOrder) {
+  // One worker, so the single partition holds every label.
+  auto idx = IndexedLogicalGraph::Build(SmallGraph(Ctx(1)));
+  const auto alternation = idx.VerticesOfLabels({"Person", "Ghost", "City"});
+  EXPECT_EQ(Size(alternation), 3u);
+  // The chain holds the alternation's labels in list order, not label
+  // order; an absent label contributes nothing.
+  for (int p = 0; p < alternation.num_partitions(); ++p) {
+    std::vector<std::string> labels;
+    for (const Vertex& v : alternation.partition(p)) labels.push_back(v.label);
+    EXPECT_TRUE(std::is_sorted(labels.begin(), labels.end(),
+                               std::greater<std::string>()))
+        << "partition " << p;
+  }
+  EXPECT_EQ(Size(idx.EdgesOfTypes({"livesIn", "knows"})), 3u);
+  EXPECT_EQ(Size(idx.EdgesOfTypes({"Ghost"})), 0u);
 }
 
 TEST(IndexedGraphTest, PreservesPartitionAlignment) {

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "common/random.h"
@@ -80,12 +81,14 @@ void ExpectEngineMatchesOracle(const RandomGraph& g, const std::string& query,
                                const MorphismSetting& semantics,
                                const std::string& context,
                                PlannerOptions::ExecutionEngine engine_kind =
-                                   PlannerOptions::ExecutionEngine::kRow) {
+                                   PlannerOptions::ExecutionEngine::kRow,
+                               int batch_size = exec::kDefaultBatchSize) {
   auto graph = LogicalGraph::FromVectors(dataflow::MakeContext(),
                                          GraphHead(0, "G"), g.vertices,
                                          g.edges);
   CypherEngine engine(graph);
   engine.planner_options().engine = engine_kind;
+  engine.planner_options().batch_size = batch_size;
   auto result = engine.Execute(query, semantics);
   ASSERT_TRUE(result.ok()) << context << ": " << result.status();
 
@@ -240,6 +243,42 @@ TEST(OracleExpandTest, BothEnginesMatchNaiveMatcher) {
             0u);
   EXPECT_EQ(dataflow::PartitioningAuditStats::Instance().misplaced_records(),
             0u);
+}
+
+// Scans read the per-label datasets of a label or type alternation — or
+// every label's, for an unlabeled vertex or untyped edge — in place, in
+// list order. These cases cover an unlabeled vertex with an untyped edge,
+// alternations naming a label and a type the graph lacks, and
+// alternations at 7-row batches, whose batches straddle label boundaries.
+const OracleCase kScanInputQueries[] = {
+    {"unlabeled_untyped", "MATCH (a)-[e]->(b) RETURN *"},
+    {"absent_label",
+     "MATCH (a:Tag|NoSuchLabel)<-[e:likes|noSuchType]-(b) RETURN *"},
+    {"alternation",
+     "MATCH (a:Person|Tag)-[e:knows|likes]->(b:Tag|Person) RETURN *"},
+};
+
+TEST(OracleScanInputTest, BothEnginesMatchNaiveMatcher) {
+  const std::tuple<const char*, PlannerOptions::ExecutionEngine, int>
+      engines[] = {
+          {"row", PlannerOptions::ExecutionEngine::kRow,
+           exec::kDefaultBatchSize},
+          {"batch", PlannerOptions::ExecutionEngine::kBatch,
+           exec::kDefaultBatchSize},
+          {"batch7", PlannerOptions::ExecutionEngine::kBatch, 7},
+      };
+  for (const uint64_t seed : {3u, 9u}) {
+    const RandomGraph g = MakeRandomGraph(seed, 40 + seed, 70 + seed);
+    for (const OracleCase& c : kScanInputQueries) {
+      for (const auto& [engine_name, engine, batch_size] : engines) {
+        ExpectEngineMatchesOracle(g, c.query, MorphismSetting::Neo4j(),
+                                  std::string(c.name) +
+                                      " seed=" + std::to_string(seed) + " " +
+                                      engine_name,
+                                  engine, batch_size);
+      }
+    }
+  }
 }
 
 TEST(OracleExpandTest, ReverseCaseWalksAgainstEdgeDirection) {
