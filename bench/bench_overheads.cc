@@ -8,6 +8,8 @@
 //   micro-loops, median ns per call:
 //     cancellation  raw_load | disabled | armed  (CheckCancelled)
 //     lock_rank     raw | ranked | checker       (common::Mutex)
+//     pool_dispatch trivial | task_10us          (RunAndWait(4, ...) on
+//                                                 the engine's pool)
 //
 // Modes alternate inside one loop and every round reverses their order,
 // so no mode always runs first (cold). Each mode after an overhead's
@@ -33,6 +35,7 @@
 #include "common/lock_rank.h"
 #include "common/thread_annotations.h"
 #include "common/timer.h"
+#include "dataflow/thread_pool.h"
 
 namespace {
 
@@ -194,6 +197,16 @@ int main() {
   std::mutex raw_mutex;
   gradoop::common::Mutex ranked(LockRank::kDataflow, "bench.lock_rank");
   int checker_tag = 0;
+  // One stage's fork-join round trip on the engine's own pool: four
+  // tasks, the worker count the toggles above run with.
+  gradoop::dataflow::ThreadPool& pool = ctx->pool();
+  const std::function<void(int)> trivial_task = [](int) {};
+  const std::function<void(int)> ten_us_task = [](int) {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(10);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  };
 
   const MicroLoop loops[] = {
       {"cancellation",
@@ -230,6 +243,13 @@ int main() {
          })}},
        {{"rank_checks_compiled",
          gradoop::common::LockRankCheckingEnabled() ? "1" : "0"}}},
+      {"pool_dispatch",
+       2'000,
+       {{"trivial", NsPerOp([&] { pool.RunAndWait(kWorkers, trivial_task); })},
+        {"task_10us",
+         NsPerOp([&] { pool.RunAndWait(kWorkers, ten_us_task); })}},
+       {{"tasks", std::to_string(kWorkers)},
+        {"threads", std::to_string(pool.num_threads())}}},
   };
   for (const MicroLoop& loop : loops) {
     const std::vector<double> medians = InterleavedMedians(

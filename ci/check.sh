@@ -97,6 +97,16 @@ if [[ "${ONLY}" == "all" || "${ONLY}" == "tsan" ]]; then
   GRADOOP_AUDIT_PARTITIONING=1 run_tree tsan \
     -DCMAKE_BUILD_TYPE=Debug \
     -DGRADOOP_TSAN=ON
+  # Real queries under the race detector, not only unit tests: every
+  # LDBC query runs through both engines, so the parallel exchange, the
+  # join kernels and the pool's caller-runs protocol meet real data.
+  echo "=== [tsan] cypher_explain --analyze over LDBC, both engines ==="
+  cmake --build "${OUT}/tsan" -j "${JOBS}" --target cypher_explain \
+    >/dev/null
+  for engine in row batch; do
+    GRADOOP_AUDIT_PARTITIONING=1 "${OUT}/tsan/tools/cypher_explain" \
+      --analyze --engine "${engine}" --ldbc >/dev/null
+  done
 fi
 
 # Query lint stage: run the semantic analyzer over every query the repo

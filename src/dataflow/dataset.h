@@ -8,7 +8,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -535,45 +537,35 @@ class Dataset {
   }
 
   // Key-directed exchange where the caller splits each record into
-  // per-target fragments: `splitter(record, source_partition, &frags)`
-  // appends (target, fragment) pairs. The columnar batch engine scatters
-  // through this — the fragments are sub-batches holding only the
-  // selected rows routed to each worker, so a filtered batch never
-  // serializes its dead rows into the exchange. Accounting mirrors
-  // ShuffleInto: every fragment enters the exchange, only fragments
-  // landing on a different worker are billed as network traffic, and the
-  // shuffle.* telemetry counters cover the fragment bytes.
-  template <typename Splitter>
-  Dataset<T> ScatterShuffle(Splitter splitter,
+  // per-target fragments. `make_splitter()` runs once per source
+  // partition's routing task and returns that task's splitter, so any
+  // scratch it keeps is private to the task; `splitter(record,
+  // source_partition, &frags)` appends (target, fragment) pairs. The
+  // columnar batch engine scatters through this — the fragments are
+  // sub-batches holding only the selected rows routed to each worker, so
+  // a filtered batch never serializes its dead rows into the exchange.
+  // Accounting mirrors ShuffleInto: every fragment enters the exchange,
+  // only fragments landing on a different worker are billed as network
+  // traffic, and the shuffle.* telemetry counters cover the fragment
+  // bytes.
+  template <typename MakeSplitter>
+  Dataset<T> ScatterShuffle(MakeSplitter make_splitter,
                             const char* label = "Scatter") const {
-    const bool traced = ctx_->telemetry().enabled();
-    const double span_begin_us =
-        traced ? ctx_->telemetry().tracer().NowMicros() : 0.0;
-    const int p = num_partitions();
-    auto out = std::make_shared<Partitions>(p);
-    ExchangeTally tally(p);
-    std::vector<std::pair<int, T>> frags;
+    auto out = std::make_shared<Partitions>(num_partitions());
     common::CancellationToken& cancel = ctx_->cancellation();
-    for (int i = 0; i < p; ++i) {
-      tally.in_counts[i] = (*partitions_)[i].size();
-      for (const T& rec : (*partitions_)[i]) {
-        if (cancel.CheckCancelled()) break;
-        frags.clear();
-        splitter(rec, i, &frags);
-        for (auto& [target, frag] : frags) {
-          assert(target >= 0 && target < p);
-          const uint64_t b = (traced || target != i) ? RecordBytes(frag) : 0;
-          if (traced) tally.exchanged += b;
-          if (target != i) {
-            tally.out_bytes[i] += b;
-            tally.in_bytes[target] += b;
-            tally.moved += b;
+    Exchange<T>(
+        [&](int i, auto&& emit) {
+          auto splitter = make_splitter();
+          std::vector<std::pair<int, T>> frags;
+          for (const T& rec : (*partitions_)[i]) {
+            if (cancel.CheckCancelled()) break;
+            frags.clear();
+            splitter(rec, i, &frags);
+            for (auto& [target, frag] : frags) emit(target, std::move(frag));
           }
-          (*out)[target].push_back(std::move(frag));
-        }
-      }
-    }
-    ChargeExchange(*ctx_, label, tally, span_begin_us);
+          return (*partitions_)[i].size();
+        },
+        out.get(), label);
     return Dataset<T>(ctx_, std::move(out));
   }
 
@@ -735,41 +727,89 @@ class Dataset {
   }
 
   // Hash-shuffles `src` partitions into `dst` partitions by key, charging
-  // network time for records that change workers.
+  // network time for records that change workers. Each record is copied
+  // once, into its routing bucket.
   template <typename KeyFn, typename Rec>
   void ShuffleInto(KeyFn key, const std::vector<std::vector<Rec>>& src,
                    std::vector<std::vector<Rec>>* dst,
                    const char* label) const {
+    const size_t p = static_cast<size_t>(num_partitions());
+    using K = std::decay_t<std::invoke_result_t<KeyFn, const Rec&>>;
+    const std::hash<K> hasher;
+    common::CancellationToken& cancel = ctx_->cancellation();
+    Exchange<Rec>(
+        [&](int i, auto&& emit) {
+          for (const Rec& rec : src[i]) {
+            if (cancel.CheckCancelled()) break;
+            emit(static_cast<int>(hasher(key(rec)) % p), rec);
+          }
+          return src[i].size();
+        },
+        dst, label);
+  }
+
+  // The two-phase exchange behind ShuffleInto and ScatterShuffle, both
+  // phases on the pool. Phase 1 runs one task per source partition i:
+  // `route(i, emit)` calls `emit(target, record)` for every record
+  // leaving source i, in order, and returns how many records it read;
+  // emit tallies the record into a task-local ExchangeTally and appends
+  // it to the task's bucket for that target. Phase 2 runs one task per
+  // target: it moves the buckets into (*dst)[target] in source order —
+  // every partition ends up with the content and order the serial loop
+  // over sources produced — and frees each bucket as it goes. The task
+  // tallies are summed on the driver and charged once. The tasks are
+  // untraced; the stage span covers both phases.
+  template <typename Rec, typename Route>
+  void Exchange(Route route, std::vector<std::vector<Rec>>* dst,
+                const char* label) const {
     const bool traced = ctx_->telemetry().enabled();
     const double span_begin_us =
         traced ? ctx_->telemetry().tracer().NowMicros() : 0.0;
     const int p = num_partitions();
+    std::vector<std::vector<std::vector<Rec>>> buckets(p);  // [source][target]
+    std::vector<ExchangeTally> tallies(p);
+    ctx_->pool().RunAndWait(
+        p,
+        [&](int i) {
+          std::vector<std::vector<Rec>> out(p);
+          ExchangeTally tally(p);
+          tally.in_counts[i] = route(i, [&](int target, auto&& rec) {
+            assert(target >= 0 && target < p);
+            // Only the cost model distinguishes local from remote
+            // delivery; the shuffle.bytes counter (Flink's numBytesOut)
+            // covers every record entering the exchange, local channels
+            // included — that is the volume an elided shuffle avoids
+            // serializing. Skip the size computation entirely for
+            // untraced local records.
+            const uint64_t b = (traced || target != i) ? RecordBytes(rec) : 0;
+            if (traced) tally.exchanged += b;
+            if (target != i) {
+              tally.out_bytes[i] += b;
+              tally.in_bytes[target] += b;
+              tally.moved += b;
+            }
+            out[target].push_back(std::forward<decltype(rec)>(rec));
+          });
+          buckets[i] = std::move(out);
+          tallies[i] = std::move(tally);
+        });
     dst->assign(p, {});
+    ctx_->pool().RunAndWait(
+        p,
+        [&](int target) {
+          size_t n = 0;
+          for (int i = 0; i < p; ++i) n += buckets[i][target].size();
+          std::vector<Rec>& part = (*dst)[target];
+          part.reserve(n);
+          for (int i = 0; i < p; ++i) {
+            std::vector<Rec>& bucket = buckets[i][target];
+            part.insert(part.end(), std::make_move_iterator(bucket.begin()),
+                        std::make_move_iterator(bucket.end()));
+            std::vector<Rec>().swap(bucket);
+          }
+        });
     ExchangeTally tally(p);
-    using K = std::decay_t<std::invoke_result_t<KeyFn, const Rec&>>;
-    std::hash<K> hasher;
-    common::CancellationToken& cancel = ctx_->cancellation();
-    for (int i = 0; i < p; ++i) {
-      tally.in_counts[i] = src[i].size();
-      for (const Rec& rec : src[i]) {
-        if (cancel.CheckCancelled()) break;
-        const int target = static_cast<int>(hasher(key(rec)) % p);
-        // Only the cost model distinguishes local from remote delivery;
-        // the shuffle.bytes counter (Flink's numBytesOut) covers every
-        // record entering the exchange, local channels included — that is
-        // the volume an elided shuffle avoids serializing. Skip the size
-        // computation entirely for untraced local records.
-        const uint64_t b =
-            (traced || target != i) ? RecordBytes(rec) : 0;
-        if (traced) tally.exchanged += b;
-        if (target != i) {
-          tally.out_bytes[i] += b;
-          tally.in_bytes[target] += b;
-          tally.moved += b;
-        }
-        (*dst)[target].push_back(rec);
-      }
-    }
+    for (const ExchangeTally& source : tallies) tally.Add(source);
     ChargeExchange(*ctx_, label, tally, span_begin_us);
   }
 

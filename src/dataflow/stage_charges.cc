@@ -33,6 +33,16 @@ void ChargeNarrow(ExecutionContext& ctx, const char* label,
   }
 }
 
+void ExchangeTally::Add(const ExchangeTally& other) {
+  for (size_t w = 0; w < other.out_bytes.size(); ++w) {
+    out_bytes[w] += other.out_bytes[w];
+    in_bytes[w] += other.in_bytes[w];
+    in_counts[w] += other.in_counts[w];
+  }
+  moved += other.moved;
+  exchanged += other.exchanged;
+}
+
 void ChargeExchange(ExecutionContext& ctx, const std::string& label,
                     const ExchangeTally& tally, double span_begin_us) {
   const auto& cfg = ctx.config();

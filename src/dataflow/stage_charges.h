@@ -29,6 +29,10 @@ struct ExchangeTally {
   explicit ExchangeTally(int p = 0)
       : out_bytes(p, 0), in_bytes(p, 0), in_counts(p, 0) {}
 
+  // Adds `other`'s tallies (same worker count) to these: the parallel
+  // exchange tallies each source task separately and sums them here.
+  void Add(const ExchangeTally& other);
+
   std::vector<uint64_t> out_bytes;  // bytes worker w sends to other workers
   std::vector<uint64_t> in_bytes;   // bytes worker w receives from others
   std::vector<uint64_t> in_counts;  // records entering from worker w

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <functional>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -12,9 +11,21 @@
 
 namespace gradoop::dataflow {
 
-// Fixed-size worker pool used to execute dataset partitions in parallel on
-// the host machine. Real parallelism is an implementation detail; the
-// simulated cluster time never depends on it.
+// Fixed-size fork-join pool used to execute dataset partitions in
+// parallel on the host machine. Real parallelism is an implementation
+// detail; the simulated cluster time never depends on it.
+//
+// RunAndWait publishes one batch descriptor (the task, its size, the next
+// unclaimed index and a finished count) instead of queueing a closure per
+// task. The workers and the calling thread claim indices from it in
+// order; the caller runs tasks of its own batch until none is left
+// unclaimed and only then waits for the ones the workers claimed. A tiny
+// stage therefore finishes on the caller before a worker has woken up,
+// and a large one runs on every worker plus the caller.
+//
+// Because the caller runs tasks, a task may run while the caller holds
+// its own locks: a task takes only locks ranked below every lock any
+// RunAndWait caller holds (docs/concurrency.md).
 class ThreadPool {
  public:
   // Timing of one completed pool task, handed to the task hook. The task
@@ -27,7 +38,8 @@ class ThreadPool {
     std::chrono::steady_clock::time_point end;
   };
   // Invoked after each task of a labelled batch finishes, on the thread
-  // that ran the task. Must be cheap and thread-safe.
+  // that ran the task — a pool worker or the RunAndWait caller. Must be
+  // cheap and thread-safe.
   using TaskHook = std::function<void(const TaskTiming&)>;
 
   // num_threads == 0 selects std::thread::hardware_concurrency().
@@ -42,23 +54,45 @@ class ThreadPool {
   // Tasks submitted but not yet finished. 0 whenever no RunAndWait is in
   // flight — the cancellation audit asserts this after an unwound query
   // to prove no partition task leaked past its batch.
-  int pending_tasks() const;
+  int pending_tasks() const EXCLUDES(mu_);
 
   // Installs (or, with nullptr, removes) the per-task tracing hook. Not
   // called concurrently with RunAndWait; each batch snapshots the hook
   // once at submission.
-  void set_task_hook(TaskHook hook);
+  void set_task_hook(TaskHook hook) EXCLUDES(mu_);
 
-  // Runs tasks(0..n-1) on the pool and blocks until all complete. Tasks
-  // must not themselves call RunAndWait on the same pool. When `label`
-  // is non-null and a task hook is installed, every task is timed and
-  // reported to the hook (the telemetry path); a null label keeps the
-  // task untraced.
+  // Runs tasks(0..n-1) and blocks until all complete. Each index runs
+  // exactly once, on a pool thread or on the caller; n == 1 runs inline.
+  // Several threads may submit concurrently, each waiting only for its
+  // own batch. Tasks must not themselves call RunAndWait on the same
+  // pool. When `label` is non-null and a task hook is installed, every
+  // task is timed and reported to the hook (the telemetry path); a null
+  // label keeps the task untraced.
   void RunAndWait(int n, const std::function<void(int)>& task,
-                  const char* label = nullptr);
+                  const char* label = nullptr) EXCLUDES(mu_);
 
  private:
-  void WorkerLoop();
+  // One RunAndWait call in flight. Lives on the caller's stack; the
+  // caller returns only once `finished == n`, and nothing touches the
+  // batch after counting its last task finished.
+  struct Batch {
+    const std::function<void(int)>* task = nullptr;
+    const TaskHook* hook = nullptr;  // the submission-time snapshot
+    const char* label = nullptr;
+    int n = 0;
+    int next = 0;      // next unclaimed index (under mu_)
+    int finished = 0;  // tasks completed (under mu_)
+  };
+
+  static void RunTask(const Batch& batch, int index);
+  // The next unclaimed index of `batch`, or -1 when all are claimed. A
+  // batch is unpublished as soon as its last index is claimed, so every
+  // batch in `batches_` has work left.
+  int ClaimLocked(Batch* batch) REQUIRES(mu_);
+  // Counts one finished task of `batch` and wakes the submitters after
+  // its last one.
+  void FinishLocked(Batch* batch) REQUIRES(mu_);
+  void WorkerLoop() EXCLUDES(mu_);
 
   std::vector<std::thread> threads_;
   mutable common::Mutex mu_{common::LockRank::kDataflow,
@@ -67,7 +101,8 @@ class ThreadPool {
   // plain std::condition_variable only accepts std::unique_lock.
   std::condition_variable_any work_ready_;
   std::condition_variable_any batch_done_;
-  std::queue<std::function<void()>> queue_ GUARDED_BY(mu_);
+  // Published batches with unclaimed indices, oldest first.
+  std::vector<Batch*> batches_ GUARDED_BY(mu_);
   int pending_ GUARDED_BY(mu_) = 0;
   bool shutdown_ GUARDED_BY(mu_) = false;
   TaskHook task_hook_ GUARDED_BY(mu_);

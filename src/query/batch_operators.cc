@@ -153,36 +153,41 @@ using RowKeyFn =
     std::function<void(const EmbeddingBatch&, uint32_t, std::string*)>;
 
 // Scatters the active rows of every batch to hash(key) % p, compacting
-// them into per-target sub-batches. Placement is the row engine's.
+// them into per-target sub-batches. Placement is the row engine's. The
+// routing tasks run concurrently, each with its own splitter: the
+// splitter reads only its captures and keeps its scratch to itself.
 BatchDataset ScatterBatches(const BatchDataset& data,
-                            std::vector<uint8_t> flags, int props,
-                            RowKeyFn key_of, const char* label) {
+                            const std::vector<uint8_t>& flags, int props,
+                            const RowKeyFn& key_of, const char* label) {
   const int p = data.num_partitions();
   return data.ScatterShuffle(
-      [flags = std::move(flags), props, key_of = std::move(key_of), p](
-          const EmbeddingBatch& b, int /*source*/,
-          std::vector<std::pair<int, EmbeddingBatch>>* frags) {
-        // Two passes: route every active row first, then compact each
-        // target's rows with one column-major bulk gather (AppendRows)
-        // instead of row-at-a-time appends.
-        const std::hash<std::string> hasher;
-        std::vector<std::vector<uint32_t>> rows_by_target(
-            static_cast<size_t>(p));
-        std::string key;
-        const uint32_t active = b.ActiveRows();
-        for (uint32_t i = 0; i < active; ++i) {
-          const uint32_t row = b.ActiveRow(i);
-          key.clear();
-          key_of(b, row, &key);
-          const size_t target = hasher(key) % static_cast<size_t>(p);
-          rows_by_target[target].push_back(row);
-        }
-        for (int target = 0; target < p; ++target) {
-          const auto& rows = rows_by_target[static_cast<size_t>(target)];
-          if (rows.empty()) continue;
-          frags->emplace_back(target, EmbeddingBatch(flags, props));
-          frags->back().second.AppendRows(b, rows);
-        }
+      [&flags, props, &key_of, p] {
+        // Two passes per batch: route every active row first, then
+        // compact each target's rows with one column-major bulk gather
+        // (AppendRows) instead of row-at-a-time appends.
+        return [&flags, props, &key_of, p,
+                rows_by_target =
+                    std::vector<std::vector<uint32_t>>(static_cast<size_t>(p)),
+                key = std::string()](
+                   const EmbeddingBatch& b, int /*source*/,
+                   std::vector<std::pair<int, EmbeddingBatch>>* frags) mutable {
+          const std::hash<std::string> hasher;
+          for (std::vector<uint32_t>& rows : rows_by_target) rows.clear();
+          const uint32_t active = b.ActiveRows();
+          for (uint32_t i = 0; i < active; ++i) {
+            const uint32_t row = b.ActiveRow(i);
+            key.clear();
+            key_of(b, row, &key);
+            const size_t target = hasher(key) % static_cast<size_t>(p);
+            rows_by_target[target].push_back(row);
+          }
+          for (int target = 0; target < p; ++target) {
+            const auto& rows = rows_by_target[static_cast<size_t>(target)];
+            if (rows.empty()) continue;
+            frags->emplace_back(target, EmbeddingBatch(flags, props));
+            frags->back().second.AppendRows(b, rows);
+          }
+        };
       },
       label);
 }

@@ -3,14 +3,22 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
+#include <map>
 #include <memory>
 #include <numeric>
+#include <set>
+#include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "dataflow/bulk_iteration.h"
+#include "common/lock_rank.h"
+#include "common/thread_annotations.h"
 #include "dataflow/dataset.h"
+#include "dataflow/stage_charges.h"
 #include "dataflow/thread_pool.h"
 
 namespace gradoop::dataflow {
@@ -103,6 +111,103 @@ TEST(ThreadPoolTest, StressShutdownWhileEnqueueing) {
   }
   EXPECT_EQ(executed.load() % 8, 0u);
   EXPECT_GT(executed.load(), 0u);
+}
+
+TEST(ThreadPoolTest, EveryIndexRunsOnceOnAPoolThreadOrTheCaller) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::set<std::thread::id> threads;
+  for (const int n : {1, 2, 3, 4, 8, 64, 1000}) {
+    std::vector<std::atomic<int>> runs(n);
+    std::vector<std::thread::id> ran_on(n);
+    pool.RunAndWait(n, [&](int i) {
+      runs[i].fetch_add(1, std::memory_order_relaxed);
+      ran_on[i] = std::this_thread::get_id();
+    });
+    for (int i = 0; i < n; ++i) EXPECT_EQ(runs[i].load(), 1) << n << "/" << i;
+    // The caller claims the first index when it publishes the batch.
+    EXPECT_EQ(ran_on[0], caller) << n;
+    threads.insert(ran_on.begin(), ran_on.end());
+    EXPECT_EQ(pool.pending_tasks(), 0) << n;
+  }
+  // The caller plus at most the pool's own threads ran anything.
+  EXPECT_LE(threads.size(), static_cast<size_t>(pool.num_threads()) + 1);
+  EXPECT_EQ(threads.count(caller), 1u);
+}
+
+TEST(ThreadPoolTest, HookFiresOncePerIndexWithTheBatchLabel) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::atomic<int>> hooked(256);
+  std::atomic<int> wrong_label{0};  // ordering: relaxed tallies, read
+  std::atomic<int> on_caller{0};    // after RunAndWait has joined them
+  pool.set_task_hook([&](const ThreadPool::TaskTiming& timing) {
+    if (std::strcmp(timing.label, "Parity") != 0) {
+      wrong_label.fetch_add(1, std::memory_order_relaxed);
+    }
+    EXPECT_LE(timing.begin, timing.end);
+    hooked[timing.task_index].fetch_add(1, std::memory_order_relaxed);
+    if (std::this_thread::get_id() == caller) {
+      on_caller.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  for (const int n : {1, 2, 5, 256}) {
+    for (auto& h : hooked) h.store(0);
+    on_caller.store(0);
+    pool.RunAndWait(n, [](int) {}, "Parity");
+    for (int i = 0; i < 256; ++i) {
+      EXPECT_EQ(hooked[i].load(), i < n ? 1 : 0) << n << "/" << i;
+    }
+    EXPECT_GE(on_caller.load(), 1) << n;
+    EXPECT_EQ(pool.pending_tasks(), 0) << n;
+  }
+  // An unlabelled batch stays untraced.
+  for (auto& h : hooked) h.store(0);
+  pool.RunAndWait(8, [](int) {});
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(hooked[i].load(), 0);
+  EXPECT_EQ(wrong_label.load(), 0);
+  pool.set_task_hook(nullptr);
+}
+
+// The IndexedLogicalGraph::Adjacency shape: RunAndWait under an
+// exec-rank lock. Tasks the caller runs execute with that lock held, so
+// their cost, metric and span charges (and the task hook's) must all
+// rank below it; a Debug tree's rank checker aborts otherwise.
+TEST(ThreadPoolTest, CallerRunsTasksUnderAnExecRankLock) {
+  auto ctx = Ctx(4);
+  ctx->EnableTelemetry();
+  common::Mutex exec(common::LockRank::kExec, "test.exec");
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> on_caller{0};  // ordering: relaxed tally, read after
+                                  // RunAndWait has joined the tasks
+  {
+    common::MutexLock hold(exec);
+    ctx->pool().RunAndWait(
+        64,
+        [&](int i) {
+          StageCost cost;
+          cost.label = "exec-held";
+          cost.compute_sec = 0.001;
+          ctx->tracker().AddStage(cost);
+          ctx->telemetry().metrics().AddCounter("exec.held", 1);
+          ctx->telemetry().tracer().AddSpan(
+              "exec-held", telemetry::kCategoryStage, 0.0, 1.0, i);
+          if (std::this_thread::get_id() == caller) {
+            on_caller.fetch_add(1, std::memory_order_relaxed);
+          }
+        },
+        "ExecHeld");
+    EXPECT_EQ(common::RankedLocksHeld(),
+              common::LockRankCheckingEnabled() ? 1u : 0u);
+  }
+  EXPECT_GE(on_caller.load(), 1);
+  EXPECT_EQ(ctx->tracker().NumStages(), 64);
+  EXPECT_EQ(ctx->telemetry().metrics().Snapshot().counters.at("exec.held"),
+            64u);
+  EXPECT_EQ(ctx->telemetry().metrics().Snapshot().counters.at("task.count"),
+            64u);
+  EXPECT_EQ(ctx->pool().pending_tasks(), 0);
+  EXPECT_EQ(common::RankedLocksHeld(), 0u);
 }
 
 TEST(DatasetTest, WideShufflePipelineUnderContention) {
@@ -457,6 +562,268 @@ TEST(ZeroCopyTest, ElidedShuffleJoinAdoptsBothSidesInPlace) {
   EXPECT_EQ(adopted.Collect().size(), 30u);
   EXPECT_EQ(Contents(left), before_left);
   EXPECT_EQ(Contents(right), before_right);
+}
+
+TEST(ZeroCopyTest, ShuffleCopiesEachRecordOnce) {
+  auto ctx = Ctx(4);
+  const auto ds = CountedDataset(ctx, 0, 100);
+  Counted::copies = 0;
+  const auto shuffled = ds.RepartitionByKey(CountedKey);
+  EXPECT_EQ(Counted::copies.load(), 100u);
+  uint64_t n = 0;
+  for (int p = 0; p < shuffled.num_partitions(); ++p) {
+    n += shuffled.partition(p).size();
+  }
+  EXPECT_EQ(n, 100u);
+}
+
+// --- exchange parity --------------------------------------------------------
+//
+// The parallel exchange against a serial reference computed here: the
+// loop over sources in order that routes every record to hash(key) % p,
+// with its tallies charged through the same ChargeExchange. Partitions
+// must match in content and order, and the charges bit for bit.
+
+// A record with a variable wire size and a unique payload, so byte
+// tallies differ per record and any reordering shows.
+struct Row {
+  uint64_t key = 0;
+  std::string payload;
+  bool operator==(const Row&) const = default;
+  size_t SerializedSize() const { return sizeof(key) + payload.size(); }
+};
+
+uint64_t RowKey(const Row& r) { return r.key; }
+
+enum class KeyShape { kSpread, kOneTarget, kEmptySources };
+
+Dataset<Row>::Partitions ParityInput(int p, KeyShape shape, int salt) {
+  Dataset<Row>::Partitions parts(p);
+  for (int i = 0; i < p; ++i) {
+    if (shape == KeyShape::kEmptySources && i % 2 == 0) continue;
+    for (int j = 0; j < 20 + 7 * i; ++j) {
+      const uint64_t key =
+          shape == KeyShape::kOneTarget
+              ? 42
+              : static_cast<uint64_t>(i * 131 + j * 17 + salt) % 23;
+      parts[i].push_back({key, std::to_string(salt) + ":" +
+                                   std::to_string(i) + ":" +
+                                   std::to_string(j)});
+    }
+  }
+  return parts;
+}
+
+struct SerialExchange {
+  Dataset<Row>::Partitions parts;
+  ExchangeTally tally;
+};
+
+// Routes (source, target, record) triples in the order `visit` yields
+// them, the way the serial exchange loop did.
+template <typename Visit>
+SerialExchange SerialRoute(int p, Visit visit) {
+  SerialExchange ref{Dataset<Row>::Partitions(p), ExchangeTally(p)};
+  visit([&](int source, int target, Row rec) {
+    const uint64_t b = RecordBytes(rec);
+    ref.tally.exchanged += b;
+    if (target != source) {
+      ref.tally.out_bytes[source] += b;
+      ref.tally.in_bytes[target] += b;
+      ref.tally.moved += b;
+    }
+    ref.parts[target].push_back(std::move(rec));
+  });
+  return ref;
+}
+
+SerialExchange SerialShuffle(const Dataset<Row>::Partitions& src) {
+  const int p = static_cast<int>(src.size());
+  SerialExchange ref = SerialRoute(p, [&](auto&& route) {
+    for (int i = 0; i < p; ++i) {
+      for (const Row& rec : src[i]) {
+        route(i, static_cast<int>(std::hash<uint64_t>()(rec.key) % p), rec);
+      }
+    }
+  });
+  for (int i = 0; i < p; ++i) ref.tally.in_counts[i] = src[i].size();
+  return ref;
+}
+
+Dataset<Row>::Partitions PartitionsOf(const Dataset<Row>& ds) {
+  Dataset<Row>::Partitions out;
+  for (int p = 0; p < ds.num_partitions(); ++p) out.push_back(ds.partition(p));
+  return out;
+}
+
+struct Charges {
+  double simulated_sec = 0.0;
+  uint64_t network_bytes = 0;
+  uint64_t records = 0;
+  std::map<std::string, uint64_t> shuffle_counters;
+  bool operator==(const Charges&) const = default;
+};
+
+Charges ChargesOf(ExecutionContext& ctx) {
+  Charges c{ctx.tracker().SimulatedSeconds(), ctx.tracker().NetworkBytes(),
+            ctx.tracker().TotalRecords(), {}};
+  for (const auto& [name, value] : ctx.telemetry().metrics().Snapshot()
+                                        .counters) {
+    if (name.rfind("shuffle.", 0) == 0) c.shuffle_counters[name] = value;
+  }
+  return c;
+}
+
+// Runs `check(ctx, ref_ctx, input)` for every worker count, key shape
+// and telemetry setting: ctx executes the real operation over `input`,
+// ref_ctx receives the reference charges.
+template <typename Check>
+void ForEachParityCase(Check check) {
+  for (const int p : {1, 2, 3, 4, 8}) {
+    for (const KeyShape shape :
+         {KeyShape::kSpread, KeyShape::kOneTarget, KeyShape::kEmptySources}) {
+      for (const bool traced : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "p=" << p << " shape=" << static_cast<int>(shape)
+                     << " traced=" << traced);
+        auto ctx = Ctx(p);
+        auto ref_ctx = Ctx(p);
+        if (traced) {
+          ctx->EnableTelemetry();
+          ref_ctx->EnableTelemetry();
+        }
+        check(*ctx, *ref_ctx,
+              Dataset<Row>(ctx, std::make_shared<Dataset<Row>::Partitions>(
+                                    ParityInput(p, shape, 0))),
+              shape);
+      }
+    }
+  }
+}
+
+TEST(ExchangeParityTest, RepartitionByKeyMatchesTheSerialLoop) {
+  ForEachParityCase([](ExecutionContext& ctx, ExecutionContext& ref_ctx,
+                       const Dataset<Row>& ds, KeyShape) {
+    const auto out = ds.RepartitionByKey(RowKey, "Parity");
+    const SerialExchange ref = SerialShuffle(PartitionsOf(ds));
+    ChargeExchange(ref_ctx, "Parity", ref.tally, 0.0);
+    EXPECT_EQ(PartitionsOf(out), ref.parts);
+    EXPECT_EQ(ChargesOf(ctx), ChargesOf(ref_ctx));
+  });
+}
+
+TEST(ExchangeParityTest, DistinctMatchesTheSerialLoop) {
+  ForEachParityCase([](ExecutionContext& ctx, ExecutionContext& ref_ctx,
+                       const Dataset<Row>& ds, KeyShape) {
+    const auto out = ds.Distinct(RowKey, "Parity");
+    const SerialExchange ref = SerialShuffle(PartitionsOf(ds));
+    ChargeExchange(ref_ctx, "Parity", ref.tally, 0.0);
+    const int p = ds.num_partitions();
+    Dataset<Row>::Partitions expected(p);
+    std::vector<uint64_t> in_counts(p), out_counts(p);
+    for (int t = 0; t < p; ++t) {
+      std::set<uint64_t> seen;
+      for (const Row& r : ref.parts[t]) {
+        if (seen.insert(r.key).second) expected[t].push_back(r);
+      }
+      in_counts[t] = ref.parts[t].size();
+      out_counts[t] = expected[t].size();
+    }
+    ChargeNarrow(ref_ctx, "DistinctLocal", in_counts, out_counts);
+    EXPECT_EQ(PartitionsOf(out), expected);
+    EXPECT_EQ(ChargesOf(ctx), ChargesOf(ref_ctx));
+  });
+}
+
+TEST(ExchangeParityTest, RepartitionHashJoinMatchesTheSerialLoop) {
+  ForEachParityCase([](ExecutionContext& ctx, ExecutionContext& ref_ctx,
+                       const Dataset<Row>& left, KeyShape shape) {
+    const int p = left.num_partitions();
+    const Dataset<Row> right(
+        left.context(), std::make_shared<Dataset<Row>::Partitions>(
+                            ParityInput(p, shape, /*salt=*/5)));
+    auto joiner = [](const Row& l, const Row& r, std::vector<Row>* out) {
+      out->push_back({l.key, l.payload + "|" + r.payload});
+    };
+    const auto out = left.HashJoin<Row>(right, RowKey, RowKey, joiner,
+                                        JoinStrategy::kRepartition, "Parity");
+    const SerialExchange lref = SerialShuffle(PartitionsOf(left));
+    const SerialExchange rref = SerialShuffle(PartitionsOf(right));
+    ChargeExchange(ref_ctx, "Parity", lref.tally, 0.0);
+    ChargeExchange(ref_ctx, "Parity", rref.tally, 0.0);
+    // The build+probe kernel, serially: right side into the table in
+    // partition order, left side probing it in partition order.
+    Dataset<Row>::Partitions expected(p);
+    BuildProbeTally tally(p);
+    for (int t = 0; t < p; ++t) {
+      std::unordered_multimap<uint64_t, const Row*> table;
+      table.reserve(rref.parts[t].size());
+      for (const Row& r : rref.parts[t]) {
+        table.emplace(r.key, &r);
+        tally.state_bytes[t] += RecordBytes(r);
+      }
+      for (const Row& l : lref.parts[t]) {
+        auto [it, end] = table.equal_range(l.key);
+        for (; it != end; ++it) joiner(l, *it->second, &expected[t]);
+      }
+      tally.work[t] = lref.parts[t].size() + rref.parts[t].size();
+      tally.out_counts[t] = expected[t].size();
+      tally.state_records[t] = rref.parts[t].size();
+    }
+    ChargeBuildProbe(ref_ctx, "Parity/BuildProbe", tally, 0);
+    EXPECT_EQ(PartitionsOf(out), expected);
+    EXPECT_EQ(ChargesOf(ctx), ChargesOf(ref_ctx));
+  });
+}
+
+TEST(ExchangeParityTest, ScatterShuffleMatchesTheSerialLoop) {
+  ForEachParityCase([](ExecutionContext& ctx, ExecutionContext& ref_ctx,
+                       const Dataset<Row>& ds, KeyShape) {
+    const int p = ds.num_partitions();
+    // Every record goes to key % p; keys divisible by 3 also send a
+    // second fragment to (key / 3) % p.
+    auto split = [p](const Row& r, std::vector<std::pair<int, Row>>* frags) {
+      frags->emplace_back(static_cast<int>(r.key % p), r);
+      if (r.key % 3 == 0) {
+        frags->emplace_back(static_cast<int>((r.key / 3) % p),
+                            Row{r.key + 1000, r.payload + "'"});
+      }
+    };
+    // One splitter per routing task, and each sees only its own source.
+    std::atomic<int> splitters{0};      // ordering: relaxed tallies, read
+    std::atomic<int> foreign_source{0};  // after the exchange joined
+    const auto out = ds.ScatterShuffle(
+        [&] {
+          splitters.fetch_add(1, std::memory_order_relaxed);
+          return [&, source = -1](const Row& r, int i,
+                                  std::vector<std::pair<int, Row>>* frags)
+                     mutable {
+            if (source != -1 && source != i) {
+              foreign_source.fetch_add(1, std::memory_order_relaxed);
+            }
+            source = i;
+            split(r, frags);
+          };
+        },
+        "Parity");
+    const Dataset<Row>::Partitions src = PartitionsOf(ds);
+    SerialExchange ref = SerialRoute(p, [&](auto&& route) {
+      std::vector<std::pair<int, Row>> frags;
+      for (int i = 0; i < p; ++i) {
+        for (const Row& rec : src[i]) {
+          frags.clear();
+          split(rec, &frags);
+          for (auto& [target, frag] : frags) route(i, target, std::move(frag));
+        }
+      }
+    });
+    for (int i = 0; i < p; ++i) ref.tally.in_counts[i] = src[i].size();
+    ChargeExchange(ref_ctx, "Parity", ref.tally, 0.0);
+    EXPECT_EQ(PartitionsOf(out), ref.parts);
+    EXPECT_EQ(ChargesOf(ctx), ChargesOf(ref_ctx));
+    EXPECT_EQ(splitters.load(), p);
+    EXPECT_EQ(foreign_source.load(), 0);
+  });
 }
 
 TEST(BulkIterationTest, RunsBodyUntilBound) {
