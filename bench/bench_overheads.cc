@@ -10,6 +10,14 @@
 //     lock_rank     raw | ranked | checker       (common::Mutex)
 //     pool_dispatch trivial | task_10us          (RunAndWait(4, ...) on
 //                                                 the engine's pool)
+//     join_build_probe  per_build_row | per_probe_row
+//     batches_to_rows   per_row
+//
+// The last two time the batch engine's join and root-conversion kernels
+// per row, on a one-worker context with both join sides adopted, so no
+// exchange runs: a join whose probe side is empty prices the build, and
+// a join with a small build side prices the probe and its merged output.
+// Their ns_per_op is per row, not per call.
 //
 // Modes alternate inside one loop and every round reverses their order,
 // so no mode always runs first (cold). Each mode after an overhead's
@@ -35,7 +43,9 @@
 #include "common/lock_rank.h"
 #include "common/thread_annotations.h"
 #include "common/timer.h"
+#include "dataflow/execution_context.h"
 #include "dataflow/thread_pool.h"
+#include "query/batch_operators.h"
 
 namespace {
 
@@ -78,6 +88,48 @@ std::function<double(uint64_t)> NsPerOp(Fn op) {
     for (uint64_t i = 0; i < iters; ++i) op();
     return timer.ElapsedSeconds() * 1e9 / static_cast<double>(iters);
   };
+}
+
+// One micro-loop mode over a kernel that handles `rows_per_call` rows per
+// call: runs enough calls for `iters` rows, returns ns/row.
+template <typename Fn>
+std::function<double(uint64_t)> NsPerRow(uint64_t rows_per_call, Fn call) {
+  return [rows_per_call, call](uint64_t iters) {
+    const uint64_t calls = std::max<uint64_t>(1, iters / rows_per_call);
+    gradoop::Timer timer;
+    for (uint64_t i = 0; i < calls; ++i) call();
+    return timer.ElapsedSeconds() * 1e9 /
+           static_cast<double>(calls * rows_per_call);
+  };
+}
+
+// `count` rows of `id_columns` ids and `properties` string properties;
+// id column 0 holds key (i % distinct_keys), the rest unique ids.
+gradoop::query::BatchSet KernelInput(
+    const gradoop::dataflow::ExecutionContextPtr& ctx, const char* prefix,
+    uint64_t count, uint64_t distinct_keys, int id_columns, int properties) {
+  using gradoop::query::Embedding;
+  gradoop::query::EmbeddingMetaData meta;
+  for (int c = 0; c < id_columns; ++c) {
+    meta.AddIdColumn(c == 0 ? "key" : prefix + std::to_string(c),
+                     gradoop::query::EntryType::kVertex);
+  }
+  for (int c = 0; c < properties; ++c) {
+    meta.AddPropertyColumn(prefix + std::string("1"), "p" + std::to_string(c));
+  }
+  std::vector<Embedding> rows(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    rows[i].AppendId(i % distinct_keys);
+    for (int c = 1; c < id_columns; ++c) rows[i].AppendId(i * 16 + c);
+    for (int c = 0; c < properties; ++c) {
+      rows[i].AppendProperty(gradoop::epgm::PropertyValue(
+          "value " + std::to_string(i % 977)));
+    }
+  }
+  return gradoop::query::RowsToBatches(
+      {gradoop::dataflow::Dataset<Embedding>::FromVector(ctx, std::move(rows)),
+       meta},
+      gradoop::query::exec::kDefaultBatchSize);
 }
 
 std::string Fixed(double value, int digits) {
@@ -208,6 +260,38 @@ int main() {
     }
   };
 
+  // Batch kernels on their own one-worker context. The join inputs are
+  // duplicate-heavy u64 keys: the build-priced join inserts 65,536 rows
+  // over 4,096 keys (16 each) and probes with none; the probe-priced join
+  // builds 4,096 rows over 1,024 keys (4 each) and probes 65,536 rows over
+  // 2,048 keys, half of them hits that merge 4 rows each.
+  gradoop::dataflow::ClusterConfig kernel_config;
+  kernel_config.num_workers = 1;
+  const auto kernel_ctx = gradoop::dataflow::MakeContext(kernel_config);
+  constexpr uint64_t kKernelRows = 65'536;
+  const gradoop::query::BatchSet big_build =
+      KernelInput(kernel_ctx, "r", kKernelRows, 4'096, 2, 0);
+  const gradoop::query::BatchSet small_build =
+      KernelInput(kernel_ctx, "r", 4'096, 1'024, 2, 0);
+  const gradoop::query::BatchSet no_probe =
+      KernelInput(kernel_ctx, "l", 0, 1, 2, 0);
+  const gradoop::query::BatchSet big_probe =
+      KernelInput(kernel_ctx, "l", kKernelRows, 2'048, 2, 0);
+  const auto join = [](const gradoop::query::BatchSet& left,
+                       const gradoop::query::BatchSet& right) {
+    const gradoop::query::BatchSet joined = gradoop::query::JoinBatches(
+        left, right, {0}, {0},
+        gradoop::query::EmbeddingMetaData::Merge(left.meta, right.meta),
+        gradoop::query::MorphismSetting::Neo4j(),
+        gradoop::dataflow::JoinStrategy::kRepartition, {},
+        {.left_prepartitioned = true, .right_prepartitioned = true},
+        gradoop::query::exec::kDefaultBatchSize);
+    g_sink = g_sink + joined.data.partition(0).size();
+  };
+  // The root conversion's shape: 9 id columns, 3 properties.
+  const gradoop::query::BatchSet wide =
+      KernelInput(kernel_ctx, "v", kKernelRows, kKernelRows, 9, 3);
+
   const MicroLoop loops[] = {
       {"cancellation",
        5'000'000,
@@ -250,6 +334,22 @@ int main() {
          NsPerOp([&] { pool.RunAndWait(kWorkers, ten_us_task); })}},
        {{"tasks", std::to_string(kWorkers)},
         {"threads", std::to_string(pool.num_threads())}}},
+      {"join_build_probe",
+       4 * kKernelRows,
+       {{"per_build_row",
+         NsPerRow(kKernelRows, [&] { join(no_probe, big_build); })},
+        {"per_probe_row",
+         NsPerRow(kKernelRows, [&] { join(big_probe, small_build); })}},
+       {{"key", "u64"}, {"rows", std::to_string(kKernelRows)}}},
+      {"batches_to_rows",
+       4 * kKernelRows,
+       {{"per_row", NsPerRow(kKernelRows, [&] {
+           g_sink = g_sink +
+                    gradoop::query::BatchesToRows(wide).data.partition(0)
+                        .size();
+         })}},
+       {{"id_columns", "9"}, {"properties", "3"},
+        {"rows", std::to_string(kKernelRows)}}},
   };
   for (const MicroLoop& loop : loops) {
     const std::vector<double> medians = InterleavedMedians(

@@ -87,6 +87,14 @@ if [[ "${ONLY}" == "all" || "${ONLY}" == "asan" ]]; then
       --analyze --engine "${engine}" \
       "${ROOT}"/examples/queries/*.cypher >/dev/null
   done
+  # The batch join kernels under the sanitizers with many small batches:
+  # the build table addresses every entry as (batch, row), and each
+  # elided shuffle re-hashes its rows against the placement hash.
+  echo "=== [asan] batch engine at --batch-size 7 under the audits ==="
+  GRADOOP_AUDIT_PARTITIONING=1 GRADOOP_AUDIT_MEMORY=1 \
+    "${OUT}/asan/tools/cypher_explain" --analyze --no-broadcast \
+    --engine batch --batch-size 7 --ldbc \
+    "${ROOT}"/examples/queries/*.cypher >/dev/null
 fi
 
 if [[ "${ONLY}" == "all" || "${ONLY}" == "tsan" ]]; then
@@ -206,6 +214,13 @@ if [[ "${ONLY}" == "all" || "${ONLY}" == "explain" ]]; then
       --analyze --no-broadcast --engine "${engine}" \
       "${ROOT}"/examples/queries/*.cypher >/dev/null
   done
+  # Many small batches: the batch join's build table addresses entries as
+  # (batch, row), and the partitioning audit re-checks the kernels'
+  # placement hash against the row engine's on every elided shuffle.
+  GRADOOP_AUDIT_PARTITIONING=1 GRADOOP_AUDIT_MEMORY=1 \
+    "${OUT}/plain/tools/cypher_explain" \
+    --analyze --no-broadcast --engine batch --batch-size 7 --ldbc \
+    "${ROOT}"/examples/queries/*.cypher >/dev/null
 fi
 
 # Telemetry stage: profile two LDBC queries with the engine's tracing
@@ -314,7 +329,8 @@ if [[ "${ONLY}" == "all" || "${ONLY}" == "observability" ]]; then
   rm -f "${OBS_DIR}/BENCH_overheads.json"
   (cd "${OBS_DIR}" && GRADOOP_BENCH_SF=0.05 \
     "${OUT}/plain/bench/bench_overheads" >/dev/null)
-  for overhead in telemetry memory_accounting cancellation lock_rank; do
+  for overhead in telemetry memory_accounting cancellation lock_rank \
+                  pool_dispatch join_build_probe batches_to_rows; do
     if ! grep -q "\"overhead\": \"${overhead}\"" \
       "${OBS_DIR}/BENCH_overheads.json"; then
       echo "bench_overheads: no ${overhead} record" >&2

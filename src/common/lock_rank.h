@@ -15,8 +15,9 @@
 // lock last, and no layer may ever wait on a layer above it — which
 // makes cross-thread lock cycles, and therefore lock-order deadlocks,
 // structurally impossible. The ranks double as documentation: they are
-// the lock order the shared morsel scheduler (ROADMAP item 1) must
-// respect when queries start sharing this state.
+// the lock order the morsel scheduler (ROADMAP, "Use the cores:
+// parallel exchange and morsel-sized tasks") must respect when queries
+// start sharing this state.
 //
 // Enforcement: in checked builds (!NDEBUG, or any build with
 // GRADOOP_FORCE_LOCK_RANK_CHECKS defined) each thread keeps a stack of

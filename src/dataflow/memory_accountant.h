@@ -7,8 +7,11 @@
 
 namespace gradoop::dataflow {
 
-// Modeled per-row overhead of a per-worker join build table
-// (unordered_multimap node, key copy, record pointer, bucket share).
+// Modeled per-row overhead of a per-worker join build table on the
+// simulated cluster (entry, key copy, record pointer, bucket share): the
+// cost model's price for the paper's hash-join state, not the size of
+// any host data structure — the host kernels' tables are smaller, and the
+// value does not follow them.
 // Charged by Dataset::HashJoin when accounting is on; the static analysis
 // (query/exec/memory_bound.h) prices build tables with the same constant
 // so estimate and measurement stay in one currency.

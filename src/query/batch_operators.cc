@@ -7,7 +7,7 @@
 #include <cstring>
 #include <functional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <utility>
 
 #include "common/cancellation.h"
@@ -52,52 +52,74 @@ std::vector<uint8_t> FlagsOf(const EmbeddingMetaData& meta) {
   return flags;
 }
 
-// Hoisted morphism plan: the row engine re-reads the meta's column lists
-// per embedding; the batch kernels resolve them once per operator and
-// check each merged row against raw id columns.
+// Hoisted morphism plan of one merge: the row engine re-reads the meta's
+// column lists per embedding; the batch kernels resolve them once per
+// operator. Every operator already emits rows that satisfy the morphism
+// on their own columns, so a merged pair can only collide across sides:
+// the plan lists each (left column, right-only column) pair the setting
+// requires distinct and compares just those — no scratch, no sort. Only
+// an edge check that reaches into PATH columns keeps the full check.
 struct MorphismPlan {
   std::vector<int> vertex_columns;
   std::vector<int> edge_columns;
   std::vector<int> path_columns;
   bool vertex_iso = false;
   bool edge_iso = false;
+  int left_columns = 0;
+  bool full_check = false;
+  // (left column, right batch column) pairs that must hold distinct ids.
+  std::vector<std::pair<int, int>> cross_pairs;
 
-  MorphismPlan(const EmbeddingMetaData& meta, const MorphismSetting& semantics)
-      : vertex_columns(meta.VertexColumns()),
-        edge_columns(meta.EdgeColumns()),
-        path_columns(meta.PathColumns()),
+  MorphismPlan(const EmbeddingMetaData& merged, int left_cols,
+               const MorphismSetting& semantics)
+      : vertex_columns(merged.VertexColumns()),
+        edge_columns(merged.EdgeColumns()),
+        path_columns(merged.PathColumns()),
         vertex_iso(semantics.vertex == MatchSemantics::kIsomorphism),
-        edge_iso(semantics.edge == MatchSemantics::kIsomorphism) {}
-
-  bool RowSatisfies(const EmbeddingBatch& b, uint32_t row,
-                    std::vector<uint64_t>* scratch) const {
-    if (vertex_iso) {
-      scratch->clear();
-      for (const int c : vertex_columns) scratch->push_back(b.IdAt(c, row));
-      if (!AllDistinct(scratch)) return false;
-    }
-    if (edge_iso) {
-      scratch->clear();
-      for (const int c : edge_columns) scratch->push_back(b.IdAt(c, row));
-      for (const int c : path_columns) {
-        const std::vector<uint64_t> via = b.PathAt(c, row);
-        for (size_t i = 0; i < via.size(); i += 2) scratch->push_back(via[i]);
+        edge_iso(semantics.edge == MatchSemantics::kIsomorphism),
+        left_columns(left_cols),
+        full_check(edge_iso && !path_columns.empty()) {
+    const auto add_cross_pairs = [this](const std::vector<int>& columns) {
+      for (const int l : columns) {
+        if (l >= left_columns) continue;
+        for (const int r : columns) {
+          if (r >= left_columns) cross_pairs.emplace_back(l, r - left_columns);
+        }
       }
-      if (!AllDistinct(scratch)) return false;
-    }
-    return true;
+    };
+    if (vertex_iso) add_cross_pairs(vertex_columns);
+    if (edge_iso) add_cross_pairs(edge_columns);
   }
 
-  // Same check over a (left row, right row) pair that has NOT been merged
-  // yet, reading merged column c from the side that owns it. Lets the
-  // probe loop reject a pair before copying any cells — on selective
-  // joins most candidates die here, and the speculative append/rollback
-  // is reserved for pairs that still need the residual clauses.
+  // Checks a (left row, right row) pair that has NOT been merged yet.
+  // Lets the probe loop reject a pair before copying any cells — on
+  // selective joins most candidates die here, and the speculative
+  // append/rollback is reserved for pairs that still need the residual
+  // clauses.
   bool PairSatisfies(const EmbeddingBatch& lb, uint32_t lrow,
-                     const EmbeddingBatch& rb, uint32_t rrow, int left_cols,
+                     const EmbeddingBatch& rb, uint32_t rrow,
                      std::vector<uint64_t>* scratch) const {
+    if (full_check) return FullPairSatisfies(lb, lrow, rb, rrow, scratch);
+    bool distinct = true;
+    for (const auto& [l, r] : cross_pairs) {
+      if (lb.IdAt(l, lrow) == rb.IdAt(r, rrow)) {
+        distinct = false;
+        break;
+      }
+    }
+    assert(distinct == FullPairSatisfies(lb, lrow, rb, rrow, scratch) &&
+           "cross-side morphism check disagrees with the full check");
+    return distinct;
+  }
+
+  // The full check over every merged column, reading merged column c
+  // from the side that owns it.
+  bool FullPairSatisfies(const EmbeddingBatch& lb, uint32_t lrow,
+                         const EmbeddingBatch& rb, uint32_t rrow,
+                         std::vector<uint64_t>* scratch) const {
     const auto id_at = [&](int c) {
-      return c < left_cols ? lb.IdAt(c, lrow) : rb.IdAt(c - left_cols, rrow);
+      return c < left_columns ? lb.IdAt(c, lrow)
+                              : rb.IdAt(c - left_columns, rrow);
     };
     if (vertex_iso) {
       scratch->clear();
@@ -109,8 +131,8 @@ struct MorphismPlan {
       for (const int c : edge_columns) scratch->push_back(id_at(c));
       for (const int c : path_columns) {
         const std::vector<uint64_t> via =
-            c < left_cols ? lb.PathAt(c, lrow)
-                          : rb.PathAt(c - left_cols, rrow);
+            c < left_columns ? lb.PathAt(c, lrow)
+                             : rb.PathAt(c - left_columns, rrow);
         for (size_t i = 0; i < via.size(); i += 2) scratch->push_back(via[i]);
       }
       if (!AllDistinct(scratch)) return false;
@@ -148,38 +170,56 @@ void AppendValueKey(const EmbeddingBatch& b, uint32_t row,
   }
 }
 
-// Per-row routing key of one join side.
-using RowKeyFn =
-    std::function<void(const EmbeddingBatch&, uint32_t, std::string*)>;
+using KeyWriter = void (*)(const EmbeddingBatch&, uint32_t,
+                           const std::vector<int>&, std::string*);
 
-// Scatters the active rows of every batch to hash(key) % p, compacting
-// them into per-target sub-batches. Placement is the row engine's. The
-// routing tasks run concurrently, each with its own splitter: the
-// splitter reads only its captures and keeps its scratch to itself.
+// Placement hash of one join side's rows: std::hash<std::string> of the
+// row's key bytes, so rows land where the row engine puts them and every
+// elision proof holds. The key is built in a scratch buffer the functor
+// owns; the exchange copies the functor into each routing task, so the
+// buffer is private to the task and stops allocating after its first
+// rows.
+template <KeyWriter kWriteKey>
+class RowKeyHash {
+ public:
+  explicit RowKeyHash(const std::vector<int>& columns) : columns_(&columns) {}
+
+  size_t operator()(const EmbeddingBatch& b, uint32_t row) {
+    key_.clear();
+    kWriteKey(b, row, *columns_, &key_);
+    return std::hash<std::string>()(key_);
+  }
+
+ private:
+  const std::vector<int>* columns_;
+  std::string key_;
+};
+
+// Scatters the active rows of every batch to row_hash(row) % p,
+// compacting them into per-target sub-batches. Placement is the row
+// engine's. The routing tasks run concurrently, each with its own copy of
+// the splitter and of `row_hash`.
+template <typename RowHash>
 BatchDataset ScatterBatches(const BatchDataset& data,
                             const std::vector<uint8_t>& flags, int props,
-                            const RowKeyFn& key_of, const char* label) {
+                            const RowHash& row_hash, const char* label) {
   const int p = data.num_partitions();
   return data.ScatterShuffle(
-      [&flags, props, &key_of, p] {
+      [&flags, props, &row_hash, p] {
         // Two passes per batch: route every active row first, then
         // compact each target's rows with one column-major bulk gather
         // (AppendRows) instead of row-at-a-time appends.
-        return [&flags, props, &key_of, p,
+        return [&flags, props, hash = row_hash, p,
                 rows_by_target =
-                    std::vector<std::vector<uint32_t>>(static_cast<size_t>(p)),
-                key = std::string()](
+                    std::vector<std::vector<uint32_t>>(static_cast<size_t>(p))](
                    const EmbeddingBatch& b, int /*source*/,
                    std::vector<std::pair<int, EmbeddingBatch>>* frags) mutable {
-          const std::hash<std::string> hasher;
           for (std::vector<uint32_t>& rows : rows_by_target) rows.clear();
           const uint32_t active = b.ActiveRows();
           for (uint32_t i = 0; i < active; ++i) {
             const uint32_t row = b.ActiveRow(i);
-            key.clear();
-            key_of(b, row, &key);
-            const size_t target = hasher(key) % static_cast<size_t>(p);
-            rows_by_target[target].push_back(row);
+            rows_by_target[hash(b, row) % static_cast<size_t>(p)].push_back(
+                row);
           }
           for (int target = 0; target < p; ++target) {
             const auto& rows = rows_by_target[static_cast<size_t>(target)];
@@ -197,14 +237,13 @@ BatchDataset ScatterBatches(const BatchDataset& data,
 // engine's AdoptPrepartitioned — under GRADOOP_AUDIT_PARTITIONING every
 // *active row* is re-hashed and the process hard-fails on the first
 // misplaced one; telemetry records what the elision saved.
-BatchDataset AdoptBatches(const BatchDataset& data, const RowKeyFn& key_of,
+template <typename RowHash>
+BatchDataset AdoptBatches(const BatchDataset& data, RowHash row_hash,
                           const char* label) {
   const int p = data.num_partitions();
   if (dfl::PartitioningAuditEnabled()) {
-    const std::hash<std::string> hasher;
     uint64_t checked = 0;
     uint64_t misplaced = 0;
-    std::string key;
     for (int i = 0; i < p; ++i) {
       // cancellation: opt-in partitioning audit must re-hash every row
       // even while unwinding — a partial check could miss the violation.
@@ -212,11 +251,8 @@ BatchDataset AdoptBatches(const BatchDataset& data, const RowKeyFn& key_of,
         const uint32_t active = b.ActiveRows();
         for (uint32_t j = 0; j < active; ++j) {
           ++checked;
-          key.clear();
-          key_of(b, b.ActiveRow(j), &key);
-          if (p != 0 &&
-              hasher(key) % static_cast<size_t>(p) !=
-                  static_cast<size_t>(i)) {
+          if (p != 0 && row_hash(b, b.ActiveRow(j)) % static_cast<size_t>(p) !=
+                            static_cast<size_t>(i)) {
             ++misplaced;
           }
         }
@@ -274,65 +310,214 @@ struct MergeParams {
       : flags(FlagsOf(merged)),
         props(merged.property_column_count()),
         left_id_columns(left_cols),
-        morphism(merged, semantics),
+        morphism(merged, left_cols, semantics),
         merged_meta(merged),
         residual(std::move(residual_clauses)),
         batch_size(size) {}
 };
 
-// Local-probe hash for two-column id keys (placement was already decided
-// by the scatter, so the table hash is free to be cheap).
-struct U64PairHash {
-  size_t operator()(const std::pair<uint64_t, uint64_t>& k) const {
-    uint64_t h = k.first * 0x9e3779b97f4a7c15ull;
-    h ^= k.second + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    return static_cast<size_t>(h);
+// Fibonacci hashing: one multiply leaves the key's entropy in the high
+// bits, which BuildTable uses as the slot. Placement was already decided
+// by the exchange, so slot hashes only have to fill the table evenly.
+constexpr uint64_t kFibonacci = 0x9e3779b97f4a7c15ull;
+
+// Key policies of the build table: how each side's key is read off a row,
+// stored, hashed into a slot and matched. One- and two-column id joins
+// key on raw u64 columns, stored as they are, with no per-row key
+// materialization.
+template <typename K>
+struct ValueKeys {
+  using Key = K;
+  using Stored = K;
+  static constexpr bool kStdStringOrder = false;
+  Stored Store(const Key& key) const { return key; }
+  bool Matches(const Stored& stored, const Key& key) const {
+    return stored == key;
   }
 };
 
-// The vectorized probe loop: builds a multimap over the build (right)
-// side's active rows, probes with every left row and appends surviving
-// merged rows. Key extraction is a template parameter so one- and
-// two-column id joins probe on raw u64 columns with no per-row key
-// materialization.
-template <typename Key, typename Hash = std::hash<Key>, typename LeftKeyFn,
-          typename RightKeyFn>
+struct U64Key : ValueKeys<uint64_t> {
+  int left_column;
+  int right_column;
+
+  U64Key(int left, int right) : left_column(left), right_column(right) {}
+  Key Left(const EmbeddingBatch& b, uint32_t row) const {
+    return b.IdAt(left_column, row);
+  }
+  Key Right(const EmbeddingBatch& b, uint32_t row) const {
+    return b.IdAt(right_column, row);
+  }
+  static uint64_t Hash(Key key) { return key * kFibonacci; }
+};
+
+struct U64PairKey : ValueKeys<std::pair<uint64_t, uint64_t>> {
+  std::pair<int, int> left_columns;
+  std::pair<int, int> right_columns;
+
+  U64PairKey(std::pair<int, int> left, std::pair<int, int> right)
+      : left_columns(left), right_columns(right) {}
+  Key Left(const EmbeddingBatch& b, uint32_t row) const {
+    return {b.IdAt(left_columns.first, row),
+            b.IdAt(left_columns.second, row)};
+  }
+  Key Right(const EmbeddingBatch& b, uint32_t row) const {
+    return {b.IdAt(right_columns.first, row),
+            b.IdAt(right_columns.second, row)};
+  }
+  static uint64_t Hash(const Key& key) {
+    return ((key.first * kFibonacci) ^ key.second) * kFibonacci;
+  }
+};
+
+// Every other join (3+ id columns, property values) keys on encoded bytes:
+// a side's key is written into one scratch buffer, and the build side's
+// keys are copied into one arena the table addresses by (offset, size).
+template <KeyWriter kWriteKey>
+class BytesKey {
+ public:
+  using Key = std::string_view;
+  struct Stored {
+    size_t offset;
+    size_t size;
+  };
+  // The multimap this table replaced kept string keys in a different
+  // order than u64 keys; BuildTable reproduces it (see Insert).
+  static constexpr bool kStdStringOrder = true;
+
+  BytesKey(const std::vector<int>& left_columns,
+           const std::vector<int>& right_columns)
+      : left_columns_(&left_columns), right_columns_(&right_columns) {}
+
+  Key Left(const EmbeddingBatch& b, uint32_t row) {
+    return Write(b, row, *left_columns_);
+  }
+  Key Right(const EmbeddingBatch& b, uint32_t row) {
+    return Write(b, row, *right_columns_);
+  }
+  static uint64_t Hash(Key key) {
+    return std::hash<std::string_view>()(key);
+  }
+  Stored Store(Key key) {
+    const Stored stored{arena_.size(), key.size()};
+    arena_.append(key);
+    return stored;
+  }
+  bool Matches(const Stored& stored, Key key) const {
+    return stored.size == key.size() &&
+           std::memcmp(arena_.data() + stored.offset, key.data(),
+                       key.size()) == 0;
+  }
+
+ private:
+  Key Write(const EmbeddingBatch& b, uint32_t row,
+            const std::vector<int>& columns) {
+    scratch_.clear();
+    kWriteKey(b, row, columns, &scratch_);
+    return scratch_;
+  }
+
+  const std::vector<int>* left_columns_;
+  const std::vector<int>* right_columns_;
+  std::string scratch_;
+  std::string arena_;
+};
+
+// The build side's hash table, one flat layout for every key policy.
+// `head_` is a power-of-two slot array holding each slot's newest entry;
+// `next_`, `keys_` and `where_` hold the entries in insertion order, so a
+// build allocates a constant number of times and a probe walks plain
+// arrays. A new entry goes onto the front of its slot's chain, so equal
+// keys come back newest first — the order the node-based multimap this
+// table replaced (libstdc++) returned u64 and pair keys in, so output
+// batches keep their content, order and boundaries. An empty slot
+// rejects a probe miss with one load, so no separate filter sits in front
+// of the table. `head_` has at least two slots per entry and never fewer
+// than 64, so even a one-row build side (a broadcast of a selective scan)
+// rejects nearly every miss there.
+template <typename Keys>
+class BuildTable {
+ public:
+  static constexpr uint32_t kEnd = UINT32_MAX;
+
+  explicit BuildTable(uint64_t entries) {
+    assert(entries < kEnd && "build side exceeds the table's entry index");
+    int bits = 6;
+    while ((uint64_t{1} << bits) < 2 * entries) ++bits;
+    head_.assign(size_t{1} << bits, kEnd);
+    shift_ = 64 - bits;
+    next_.reserve(entries);
+    keys_.reserve(entries);
+    where_.reserve(entries);
+  }
+
+  void Insert(Keys* keys, typename Keys::Key key, uint32_t batch,
+              uint32_t row) {
+    const uint32_t entry = static_cast<uint32_t>(next_.size());
+    uint32_t& slot = head_[Keys::Hash(key) >> shift_];
+    uint32_t* link = &slot;
+    if constexpr (Keys::kStdStringOrder) {
+      // libstdc++'s multimap scans a table of at most 20 entries for an
+      // equal key and links the new entry right behind the first one
+      // found; larger tables link it in front of its equals. Mirroring
+      // that keeps byte-keyed joins emitting what they emitted before.
+      if (entry <= 20) {
+        for (uint32_t e = slot; e != kEnd; e = next_[e]) {
+          if (keys->Matches(keys_[e], key)) {
+            link = &next_[e];
+            break;
+          }
+        }
+      }
+    }
+    next_.push_back(*link);
+    *link = entry;
+    keys_.push_back(keys->Store(key));
+    where_.emplace_back(batch, row);
+  }
+
+  // First entry of the chain `hash` falls into; walk it with Next and
+  // compare keys — the chain also holds other keys of the same slot.
+  uint32_t Head(uint64_t hash) const { return head_[hash >> shift_]; }
+  uint32_t Next(uint32_t entry) const { return next_[entry]; }
+  const typename Keys::Stored& KeyOf(uint32_t entry) const {
+    return keys_[entry];
+  }
+  // (build batch, row) of an entry.
+  std::pair<uint32_t, uint32_t> Where(uint32_t entry) const {
+    return where_[entry];
+  }
+
+ private:
+  std::vector<uint32_t> head_;
+  std::vector<uint32_t> next_;
+  std::vector<typename Keys::Stored> keys_;
+  std::vector<std::pair<uint32_t, uint32_t>> where_;
+  int shift_ = 0;
+};
+
+// The vectorized probe loop: builds the flat table over the build
+// (right) side's active rows, probes with every left row and appends
+// surviving merged rows.
+template <typename Keys>
 void BuildProbeMerge(const std::vector<EmbeddingBatch>& left_batches,
                      const std::vector<EmbeddingBatch>& right_batches,
-                     LeftKeyFn left_key, RightKeyFn right_key,
-                     const MergeParams& mp, std::vector<EmbeddingBatch>* dst,
+                     Keys keys, const MergeParams& mp,
+                     std::vector<EmbeddingBatch>* dst,
                      dfl::ZipPartitionStats* st,
                      common::CancellationToken& cancel) {
   // Build over the right side (HashJoin's build side), one entry per
   // active row addressed as (batch, row).
-  std::unordered_multimap<Key, std::pair<uint32_t, uint32_t>, Hash> table;
   uint64_t build_rows = 0;
   // cancellation: O(batches) size prepass; the build loop below polls.
   for (const EmbeddingBatch& b : right_batches) build_rows += b.ActiveRows();
-  table.reserve(build_rows);
-  // Presence filter in front of the multimap: on selective joins most
-  // probe keys miss, and a one-byte direct-mapped table rejects a miss
-  // with a single cache line instead of a hash-bucket walk. False
-  // positives just fall through to the real probe, so match order and
-  // results are untouched.
-  size_t present_mask = 0;
-  std::vector<uint8_t> present;
-  if (build_rows > 0) {
-    size_t slots = 64;
-    while (slots < build_rows * 4 && slots < (1u << 22)) slots <<= 1;
-    present.assign(slots, 0);
-    present_mask = slots - 1;
-  }
-  const Hash key_hash;
+  BuildTable<Keys> table(build_rows);
   for (uint32_t bi = 0; bi < right_batches.size(); ++bi) {
     if (cancel.CheckCancelled()) break;
     const EmbeddingBatch& b = right_batches[bi];
     const uint32_t active = b.ActiveRows();
     for (uint32_t i = 0; i < active; ++i) {
       const uint32_t row = b.ActiveRow(i);
-      Key key = right_key(b, row);
-      present[key_hash(key) & present_mask] = 1;
-      table.emplace(std::move(key), std::make_pair(bi, row));
+      table.Insert(&keys, keys.Right(b, row), bi, row);
     }
   }
   st->state_records = build_rows;
@@ -355,18 +540,15 @@ void BuildProbeMerge(const std::vector<EmbeddingBatch>& left_batches,
     const uint32_t active = lb.ActiveRows();
     for (uint32_t i = 0; i < active; ++i) {
       const uint32_t lrow = lb.ActiveRow(i);
-      const Key probe = left_key(lb, lrow);
-      if (present.empty() || !present[key_hash(probe) & present_mask]) {
-        continue;
-      }
-      const auto [begin, end] = table.equal_range(probe);
-      for (auto it = begin; it != end; ++it) {
-        const EmbeddingBatch& rb = right_batches[it->second.first];
-        const uint32_t rrow = it->second.second;
+      const typename Keys::Key probe = keys.Left(lb, lrow);
+      for (uint32_t e = table.Head(Keys::Hash(probe));
+           e != BuildTable<Keys>::kEnd; e = table.Next(e)) {
+        if (!keys.Matches(table.KeyOf(e), probe)) continue;
+        const auto [bi, rrow] = table.Where(e);
+        const EmbeddingBatch& rb = right_batches[bi];
         // Morphism first, straight off the source rows: on selective
         // joins most pairs die here without a single cell copied.
-        if (!mp.morphism.PairSatisfies(lb, lrow, rb, rrow,
-                                       mp.left_id_columns, &scratch)) {
+        if (!mp.morphism.PairSatisfies(lb, lrow, rb, rrow, &scratch)) {
           continue;
         }
         if (no_residual) {
@@ -408,29 +590,28 @@ void BuildProbeMerge(const std::vector<EmbeddingBatch>& left_batches,
 }
 
 // Shared tail of the two join kernels: exchange (scatter / adopt /
-// broadcast, matching HashJoin's strategies), then build+probe.
+// broadcast, matching HashJoin's strategies), then `merge(left batches,
+// right batches, dst, stats, cancel)` per partition.
+template <typename RowHash, typename Merge>
 BatchSet ExchangeAndMerge(const BatchSet& left, const BatchSet& right,
-                          const RowKeyFn& left_key_of,
-                          const RowKeyFn& right_key_of,
-                          const std::vector<int>& left_columns,
-                          const std::vector<int>& right_columns,
-                          bool id_join, const MergeParams& mp,
-                          dfl::JoinStrategy strategy,
-                          dfl::JoinShuffleHints hints, const char* label) {
+                          const RowHash& left_hash, const RowHash& right_hash,
+                          const MergeParams& mp, dfl::JoinStrategy strategy,
+                          dfl::JoinShuffleHints hints, const char* label,
+                          const Merge& merge) {
   BatchDataset left_exchanged = left.data;
   BatchDataset right_exchanged = right.data;
   if (strategy == dfl::JoinStrategy::kRepartition) {
     left_exchanged =
         hints.left_prepartitioned
-            ? AdoptBatches(left.data, left_key_of, label)
+            ? AdoptBatches(left.data, left_hash, label)
             : ScatterBatches(left.data, FlagsOf(left.meta),
-                             left.meta.property_column_count(), left_key_of,
+                             left.meta.property_column_count(), left_hash,
                              label);
     right_exchanged =
         hints.right_prepartitioned
-            ? AdoptBatches(right.data, right_key_of, label)
+            ? AdoptBatches(right.data, right_hash, label)
             : ScatterBatches(right.data, FlagsOf(right.meta),
-                             right.meta.property_column_count(), right_key_of,
+                             right.meta.property_column_count(), right_hash,
                              label);
   } else {
     // Broadcast: the left side stays in place, the right (build) side
@@ -443,47 +624,7 @@ BatchSet ExchangeAndMerge(const BatchSet& left, const BatchSet& right,
       [&](int /*partition*/, const std::vector<EmbeddingBatch>& ls,
           const std::vector<EmbeddingBatch>& rs,
           std::vector<EmbeddingBatch>* dst, dfl::ZipPartitionStats* st) {
-        if (id_join && left_columns.size() == 1) {
-          // Single-column id join: probe directly on the raw u64 column.
-          const int lc = left_columns[0];
-          const int rc = right_columns[0];
-          BuildProbeMerge<uint64_t>(
-              ls, rs,
-              [lc](const EmbeddingBatch& b, uint32_t row) {
-                return b.IdAt(lc, row);
-              },
-              [rc](const EmbeddingBatch& b, uint32_t row) {
-                return b.IdAt(rc, row);
-              },
-              mp, dst, st, cancel);
-          return;
-        }
-        if (id_join && left_columns.size() == 2) {
-          // Two-column id join (e.g. closing a triangle): packed u64
-          // pair, no per-row key strings.
-          const int lc0 = left_columns[0], lc1 = left_columns[1];
-          const int rc0 = right_columns[0], rc1 = right_columns[1];
-          BuildProbeMerge<std::pair<uint64_t, uint64_t>, U64PairHash>(
-              ls, rs,
-              [lc0, lc1](const EmbeddingBatch& b, uint32_t row) {
-                return std::make_pair(b.IdAt(lc0, row), b.IdAt(lc1, row));
-              },
-              [rc0, rc1](const EmbeddingBatch& b, uint32_t row) {
-                return std::make_pair(b.IdAt(rc0, row), b.IdAt(rc1, row));
-              },
-              mp, dst, st, cancel);
-          return;
-        }
-        auto materialize = [](const RowKeyFn& key_of) {
-          return [&key_of](const EmbeddingBatch& b, uint32_t row) {
-            std::string key;
-            key_of(b, row, &key);
-            return key;
-          };
-        };
-        BuildProbeMerge<std::string>(ls, rs, materialize(left_key_of),
-                                     materialize(right_key_of), mp, dst, st,
-                                     cancel);
+        merge(ls, rs, dst, st, cancel);
       },
       label);
   return {std::move(data), mp.merged_meta};
@@ -516,11 +657,23 @@ BatchSet RowsToBatches(const EmbeddingSet& rows, int batch_size) {
 }
 
 EmbeddingSet BatchesToRows(const BatchSet& batches) {
-  auto data = batches.data.FlatMap<Embedding>(
-      [](const EmbeddingBatch& b, std::vector<Embedding>* out) {
-        const uint32_t active = b.ActiveRows();
-        for (uint32_t i = 0; i < active; ++i) {
-          out->push_back(b.RowAt(b.ActiveRow(i)));
+  common::CancellationToken& cancel = batches.data.context()->cancellation();
+  // Charged like a FlatMap (MapPartition bills the same in/out counts)
+  // and polled once per batch like one; the partition view lets the
+  // output vector be sized once.
+  auto data = batches.data.MapPartition<Embedding>(
+      [&cancel](int /*partition*/, const std::vector<EmbeddingBatch>& src,
+                std::vector<Embedding>* out) {
+        size_t rows = 0;
+        // cancellation: O(batches) size prepass; the loop below polls.
+        for (const EmbeddingBatch& b : src) rows += b.ActiveRows();
+        out->reserve(rows);
+        for (const EmbeddingBatch& b : src) {
+          if (cancel.CheckCancelled()) break;
+          const uint32_t active = b.ActiveRows();
+          for (uint32_t i = 0; i < active; ++i) {
+            out->push_back(b.RowAt(b.ActiveRow(i)));
+          }
         }
       },
       "BatchesToRows");
@@ -677,19 +830,30 @@ BatchSet JoinBatches(const BatchSet& left, const BatchSet& right,
   assert(left_columns.size() == right_columns.size());
   const MergeParams mp(merged_meta, left.meta.id_column_count(), semantics,
                        residual, batch_size);
-  const RowKeyFn left_key_of = [left_columns](const EmbeddingBatch& b,
-                                              uint32_t row,
-                                              std::string* key) {
-    AppendIdKey(b, row, left_columns, key);
+  const auto merge = [&](const std::vector<EmbeddingBatch>& ls,
+                         const std::vector<EmbeddingBatch>& rs,
+                         std::vector<EmbeddingBatch>* dst,
+                         dfl::ZipPartitionStats* st,
+                         common::CancellationToken& cancel) {
+    if (left_columns.size() == 1) {
+      BuildProbeMerge(ls, rs, U64Key(left_columns[0], right_columns[0]), mp,
+                      dst, st, cancel);
+    } else if (left_columns.size() == 2) {
+      // E.g. closing a triangle: a packed u64 pair, no key strings.
+      BuildProbeMerge(ls, rs,
+                      U64PairKey({left_columns[0], left_columns[1]},
+                                 {right_columns[0], right_columns[1]}),
+                      mp, dst, st, cancel);
+    } else {
+      BuildProbeMerge(ls, rs,
+                      BytesKey<AppendIdKey>(left_columns, right_columns), mp,
+                      dst, st, cancel);
+    }
   };
-  const RowKeyFn right_key_of = [right_columns](const EmbeddingBatch& b,
-                                                uint32_t row,
-                                                std::string* key) {
-    AppendIdKey(b, row, right_columns, key);
-  };
-  return ExchangeAndMerge(left, right, left_key_of, right_key_of,
-                          left_columns, right_columns, /*id_join=*/true, mp,
-                          strategy, hints, "JoinEmbeddings");
+  return ExchangeAndMerge(left, right,
+                          RowKeyHash<AppendIdKey>(left_columns),
+                          RowKeyHash<AppendIdKey>(right_columns), mp,
+                          strategy, hints, "JoinEmbeddings", merge);
 }
 
 BatchSet ValueJoinBatches(const BatchSet& left, const BatchSet& right,
@@ -733,20 +897,20 @@ BatchSet ValueJoinBatches(const BatchSet& left, const BatchSet& right,
       prune(right, right_key_columns, "ValueJoinPruneRight"), right.meta};
   const MergeParams mp(merged_meta, left.meta.id_column_count(), semantics,
                        residual, batch_size);
-  const RowKeyFn left_key_of = [left_key_columns](const EmbeddingBatch& b,
-                                                  uint32_t row,
-                                                  std::string* key) {
-    AppendValueKey(b, row, left_key_columns, key);
+  const auto merge = [&](const std::vector<EmbeddingBatch>& ls,
+                         const std::vector<EmbeddingBatch>& rs,
+                         std::vector<EmbeddingBatch>* dst,
+                         dfl::ZipPartitionStats* st,
+                         common::CancellationToken& cancel) {
+    BuildProbeMerge(ls, rs,
+                    BytesKey<AppendValueKey>(left_key_columns,
+                                             right_key_columns),
+                    mp, dst, st, cancel);
   };
-  const RowKeyFn right_key_of = [right_key_columns](const EmbeddingBatch& b,
-                                                    uint32_t row,
-                                                    std::string* key) {
-    AppendValueKey(b, row, right_key_columns, key);
-  };
-  return ExchangeAndMerge(pruned_left, pruned_right, left_key_of,
-                          right_key_of, left_key_columns, right_key_columns,
-                          /*id_join=*/false, mp, strategy, hints,
-                          "ValueJoinEmbeddings");
+  return ExchangeAndMerge(pruned_left, pruned_right,
+                          RowKeyHash<AppendValueKey>(left_key_columns),
+                          RowKeyHash<AppendValueKey>(right_key_columns), mp,
+                          strategy, hints, "ValueJoinEmbeddings", merge);
 }
 
 BatchSet ExpandBatches(const BatchSet& input,

@@ -73,13 +73,6 @@ void Embedding::AppendPath(const std::vector<uint64_t>& via_ids) {
   for (uint64_t id : via_ids) AppendUint64(&path_data_, id);
 }
 
-void Embedding::AppendPathSegment(std::string_view segment) {
-  const uint64_t offset = path_data_.size();
-  id_data_.push_back(static_cast<char>(kPathFlag));
-  AppendUint64(&id_data_, offset);
-  path_data_.append(segment);
-}
-
 bool Embedding::ContainsIdAt(uint64_t id,
                              const std::vector<int>& columns) const {
   for (int c : columns) {
@@ -122,12 +115,6 @@ epgm::PropertyValue Embedding::PropertyAt(int index) const {
 void Embedding::AppendProperty(const epgm::PropertyValue& value) {
   AppendUint32(&prop_data_, static_cast<uint32_t>(value.SerializedSize()));
   value.EncodeTo(&prop_data_);
-  ++num_properties_;
-}
-
-void Embedding::AppendPropertyEncoded(std::string_view encoded) {
-  AppendUint32(&prop_data_, static_cast<uint32_t>(encoded.size()));
-  prop_data_.append(encoded);
   ++num_properties_;
 }
 

@@ -3,7 +3,7 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -53,17 +53,19 @@ class Embedding {
 
   void AppendId(uint64_t id);
   void AppendPath(const std::vector<uint64_t>& via_ids);
-  // Appends a PATH entry whose payload is an already-encoded segment
-  // (u32 length + 8-byte ids) copied verbatim — the batch-to-row
-  // conversion transplants path_pool slices through this instead of
-  // decoding and re-encoding them.
-  void AppendPathSegment(std::string_view segment);
-  // Pre-sizes the three byte arrays; the batch-to-row conversion knows
-  // the exact row footprint up front, so every array allocates once.
-  void Reserve(size_t id_bytes, size_t path_bytes, size_t prop_bytes) {
-    id_data_.reserve(id_bytes);
-    path_data_.reserve(path_bytes);
-    prop_data_.reserve(prop_bytes);
+
+  // Adopts three byte arrays already in the layout above, without
+  // copying or re-encoding them: `prop_data` holds `num_properties`
+  // length-prefixed values. The batch-to-row conversion sizes each array
+  // once, writes it with memcpy and hands it over through this.
+  static Embedding FromEncoded(std::string id_data, std::string path_data,
+                               std::string prop_data, int num_properties) {
+    Embedding out;
+    out.id_data_ = std::move(id_data);
+    out.path_data_ = std::move(path_data);
+    out.prop_data_ = std::move(prop_data);
+    out.num_properties_ = num_properties;
+    return out;
   }
 
   // True if any listed ID column holds `id` (morphism uniqueness checks).
@@ -78,10 +80,6 @@ class Embedding {
   int NumProperties() const { return num_properties_; }
   epgm::PropertyValue PropertyAt(int index) const;
   void AppendProperty(const epgm::PropertyValue& value);
-  // Appends an already-encoded value (the bytes EncodeTo would produce)
-  // verbatim. The columnar EmbeddingBatch reconstructs rows through this
-  // so no decode/re-encode round trip can perturb the byte layout.
-  void AppendPropertyEncoded(std::string_view encoded);
 
   // --- merge / size ---------------------------------------------------
 

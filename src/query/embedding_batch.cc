@@ -1,6 +1,7 @@
 #include "query/embedding_batch.h"
 
 #include <cstring>
+#include <utility>
 
 namespace gradoop::query {
 
@@ -329,39 +330,49 @@ void EmbeddingBatch::AppendRow(const Embedding& embedding) {
 }
 
 Embedding EmbeddingBatch::RowAt(uint32_t row) const {
-  Embedding out;
+  const Columns& cols = *cols_;
   const int columns = num_id_columns();
-  const int props = cols_->property_columns;
-  // The row footprint is knowable up front: reserve each byte array
-  // exactly once, then transplant path segments and property cells
-  // verbatim — no decode/re-encode round trips.
+  const int props = cols.property_columns;
+  const size_t base = static_cast<size_t>(row) * props;
+  // The row footprint is knowable up front: size each byte array exactly
+  // once, then write entries, path segments and length-prefixed property
+  // cells verbatim — no decode/re-encode round trips, no regrowth.
   size_t path_bytes = 0;
   for (int c = 0; c < columns; ++c) {
     if (IsPathColumn(c)) {
-      path_bytes +=
-          4 + 8 * ReadUint32(cols_->path_pool, PayloadAt(c, row));
+      path_bytes += 4 + 8 * ReadUint32(cols.path_pool, PayloadAt(c, row));
     }
   }
-  size_t prop_bytes = 0;
-  const size_t base = static_cast<size_t>(row) * props;
-  for (int c = 0; c < props; ++c) {
-    prop_bytes += 4 + cols_->prop_lens[base + c];
-  }
-  out.Reserve(columns * Embedding::kEntryWidth, path_bytes, prop_bytes);
+  size_t prop_bytes = 4 * static_cast<size_t>(props);
+  for (int c = 0; c < props; ++c) prop_bytes += cols.prop_lens[base + c];
+  std::string id_data(columns * Embedding::kEntryWidth, '\0');
+  std::string path_data(path_bytes, '\0');
+  std::string prop_data(prop_bytes, '\0');
+  char* id_out = id_data.data();
+  size_t path_at = 0;
   for (int c = 0; c < columns; ++c) {
+    uint64_t payload = PayloadAt(c, row);
     if (IsPathColumn(c)) {
-      const size_t offset = PayloadAt(c, row);
-      const uint32_t len = ReadUint32(cols_->path_pool, offset);
-      out.AppendPathSegment(
-          std::string_view(cols_->path_pool).substr(offset, 4 + 8 * len));
-    } else {
-      out.AppendId(IdAt(c, row));
+      const size_t segment = 4 + 8 * ReadUint32(cols.path_pool, payload);
+      std::memcpy(path_data.data() + path_at, cols.path_pool.data() + payload,
+                  segment);
+      payload = path_at;
+      path_at += segment;
     }
+    *id_out = static_cast<char>(cols.flags[static_cast<size_t>(c)]);
+    std::memcpy(id_out + 1, &payload, 8);
+    id_out += Embedding::kEntryWidth;
   }
+  char* prop_out = prop_data.data();
   for (int c = 0; c < props; ++c) {
-    out.AppendPropertyEncoded(PropertyCellAt(c, row));
+    const uint32_t len = cols.prop_lens[base + c];
+    const char* cell = cols.prop_pool.data() + cols.prop_offsets[base + c];
+    std::memcpy(prop_out, &len, 4);
+    std::memcpy(prop_out + 4, cell, len);
+    prop_out += 4 + len;
   }
-  return out;
+  return Embedding::FromEncoded(std::move(id_data), std::move(path_data),
+                                std::move(prop_data), props);
 }
 
 }  // namespace gradoop::query

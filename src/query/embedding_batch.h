@@ -126,15 +126,10 @@ class EmbeddingBatch {
   // slice side by side before one CommitRow().
   void AppendRowCells(const EmbeddingBatch& src, uint32_t row,
                       int col_offset);
-  void AppendRowFrom(const EmbeddingBatch& src, uint32_t row) {
-    AppendRowCells(src, row, 0);
-    CommitRow();
-  }
   // Bulk gather: appends the given rows of `src` (same layout) with
   // column-major inner loops — one pass per id column over the row list,
-  // then the property cells. The vectorized counterpart of a
-  // row-at-a-time AppendRowFrom loop; the scatter path compacts whole
-  // fragments through this.
+  // then the property cells. The scatter path compacts whole fragments
+  // through this.
   void AppendRows(const EmbeddingBatch& src,
                   const std::vector<uint32_t>& rows);
 
@@ -160,7 +155,8 @@ class EmbeddingBatch {
   void AppendRow(const Embedding& embedding);
   // Reconstructs row `row` as a byte-identical Embedding: id/path entries
   // in column order followed by the property cells in column order — the
-  // exact append order of the row kernels.
+  // exact append order of the row kernels. Each of the row's three byte
+  // arrays is sized once and written with memcpy.
   Embedding RowAt(uint32_t row) const;
 
   // --- accounting ------------------------------------------------------

@@ -32,8 +32,9 @@ uint64_t ApproxProfileBytes(const QueryProfile& profile);
 // alone blows the budget.
 //
 // Thread safety: all methods lock the recorder's own telemetry-ranked
-// mutex, so concurrent queries (ROADMAP item 1) can record in parallel.
-// The mutex is a leaf — Record/Snapshot never call back into the engine.
+// mutex, so concurrent queries (ROADMAP, "A reentrant engine") can
+// record in parallel. The mutex is a leaf — Record/Snapshot never call
+// back into the engine.
 class FlightRecorder {
  public:
   static constexpr uint64_t kDefaultByteBudget = 4ull << 20;  // 4 MiB

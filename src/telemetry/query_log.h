@@ -15,7 +15,8 @@ namespace gradoop::telemetry {
 
 // FNV-1a 64-bit hash of the query text, as 16 lowercase hex digits. The
 // log records the hash instead of the text so near-identical production
-// traffic (ROADMAP item 4) groups by shape without shipping user data.
+// traffic (ROADMAP, "Network query service") groups by shape without
+// shipping user data.
 std::string QueryTextHash(const std::string& query);
 
 // One structured query-log record — the line-sized digest of a
