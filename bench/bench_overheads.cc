@@ -12,12 +12,19 @@
 //                                                 the engine's pool)
 //     join_build_probe  per_build_row | per_probe_row
 //     batches_to_rows   per_row
+//     value_join_key    per_probe_row
+//     expand_hop        per_hop | per_record
 //
-// The last two time the batch engine's join and root-conversion kernels
-// per row, on a one-worker context with both join sides adopted, so no
-// exchange runs: a join whose probe side is empty prices the build, and
-// a join with a small build side prices the probe and its merged output.
-// Their ns_per_op is per row, not per call.
+// The last four time batch engine kernels per row, record or hop, not
+// per call. The join and conversion rows run on a one-worker context
+// with both join sides adopted, so no exchange runs: a join whose probe
+// side is empty prices the build, a join with a small build side prices
+// the probe and its merged output, and the value join probes string keys
+// that mostly miss, so the keys are what it prices. expand_hop times
+// ExpandBatches: per_hop on the engine's worker count with a 4-record
+// frontier (a hop's fixed cost: its pool pass and charges), per_record
+// on the one-worker context with one hop over 65,536 wide base rows
+// (a record's walk, route and emission).
 //
 // Modes alternate inside one loop and every round reverses their order,
 // so no mode always runs first (cold). Each mode after an overhead's
@@ -45,6 +52,7 @@
 #include "common/timer.h"
 #include "dataflow/execution_context.h"
 #include "dataflow/thread_pool.h"
+#include "epgm/adjacency_index.h"
 #include "query/batch_operators.h"
 
 namespace {
@@ -292,6 +300,77 @@ int main() {
   const gradoop::query::BatchSet wide =
       KernelInput(kernel_ctx, "v", kKernelRows, kKernelRows, 9, 3);
 
+  // Value-join keys: 65,536 probe rows over 65,536 distinct strings,
+  // 1,024 of which the build side holds.
+  const auto string_keys = [&](const char* var, uint64_t count,
+                               uint64_t stride) {
+    gradoop::query::EmbeddingMetaData meta;
+    meta.AddIdColumn(var, gradoop::query::EntryType::kVertex);
+    meta.AddPropertyColumn(var, "key");
+    std::vector<gradoop::query::Embedding> rows(count);
+    for (uint64_t i = 0; i < count; ++i) {
+      rows[i].AppendId(i);
+      rows[i].AppendProperty(gradoop::epgm::PropertyValue(
+          "key " + std::to_string(i * stride)));
+    }
+    return gradoop::query::RowsToBatches(
+        {gradoop::dataflow::Dataset<gradoop::query::Embedding>::FromVector(
+             kernel_ctx, std::move(rows)),
+         meta},
+        gradoop::query::exec::kDefaultBatchSize);
+  };
+  const gradoop::query::BatchSet key_probe = string_keys("l", kKernelRows, 1);
+  const gradoop::query::BatchSet key_build = string_keys("r", 1'024, 64);
+  const gradoop::query::EmbeddingMetaData key_merged =
+      gradoop::query::EmbeddingMetaData::Merge(key_probe.meta,
+                                               key_build.meta);
+  const auto value_join = [&] {
+    const gradoop::query::BatchSet joined = gradoop::query::ValueJoinBatches(
+        key_probe, key_build, {0}, {0}, key_merged,
+        gradoop::query::MorphismSetting::Neo4j(),
+        gradoop::dataflow::JoinStrategy::kRepartition, {},
+        {.left_prepartitioned = true, .right_prepartitioned = true},
+        gradoop::query::exec::kDefaultBatchSize);
+    g_sink = g_sink + joined.data.partition(0).size();
+  };
+
+  // Expand over a ring, each vertex with one out-edge, so every hop keeps
+  // the frontier's size: 4 records starting at vertices 0..3 (per_hop),
+  // or the wide rows above, one per ring vertex (per_record).
+  constexpr int kExpandHops = 10;
+  const auto ring = [](const gradoop::dataflow::ExecutionContextPtr& on,
+                       uint64_t vertices) {
+    std::vector<gradoop::epgm::Edge> edges;
+    for (uint64_t v = 0; v < vertices; ++v) {
+      edges.emplace_back(1'000'000 + v, "next", v, (v + 1) % vertices);
+    }
+    return gradoop::epgm::AdjacencyIndex::Build(
+        gradoop::dataflow::Dataset<gradoop::epgm::Edge>::FromVector(
+            on, std::move(edges)),
+        /*reverse=*/false);
+  };
+  gradoop::dataflow::ClusterConfig hop_config;
+  hop_config.num_workers = kWorkers;
+  const auto hop_ctx = gradoop::dataflow::MakeContext(hop_config);
+  const gradoop::epgm::AdjacencyIndex hop_ring = ring(hop_ctx, 1'024);
+  const gradoop::query::BatchSet hop_start =
+      KernelInput(hop_ctx, "s", 4, 4, 1, 0);
+  const gradoop::epgm::AdjacencyIndex wide_ring = ring(kernel_ctx, kKernelRows);
+  const auto expand = [](const gradoop::query::BatchSet& input,
+                         const gradoop::epgm::AdjacencyIndex& adjacency,
+                         int hops) {
+    gradoop::query::EmbeddingMetaData meta = input.meta;
+    meta.AddIdColumn("path", gradoop::query::EntryType::kPath);
+    meta.AddIdColumn("end", gradoop::query::EntryType::kVertex);
+    const gradoop::query::BatchSet out = gradoop::query::ExpandBatches(
+        input, adjacency, 0, -1, meta, hops, hops,
+        gradoop::query::MorphismSetting::Neo4j(), {},
+        gradoop::query::exec::kDefaultBatchSize);
+    for (int p = 0; p < out.data.num_partitions(); ++p) {
+      g_sink = g_sink + out.data.partition(p).size();
+    }
+  };
+
   const MicroLoop loops[] = {
       {"cancellation",
        5'000'000,
@@ -347,6 +426,24 @@ int main() {
            g_sink = g_sink +
                     gradoop::query::BatchesToRows(wide).data.partition(0)
                         .size();
+         })}},
+       {{"id_columns", "9"}, {"properties", "3"},
+        {"rows", std::to_string(kKernelRows)}}},
+      {"value_join_key",
+       4 * kKernelRows,
+       {{"per_probe_row", NsPerRow(kKernelRows, value_join)}},
+       {{"key", "string"}, {"rows", std::to_string(kKernelRows)}}},
+      {"expand_hop",
+       2'000,
+       {{"per_hop", NsPerRow(kExpandHops, [&] {
+           expand(hop_start, hop_ring, kExpandHops);
+         })}},
+       {{"frontier", "4"}, {"hops", std::to_string(kExpandHops)},
+        {"workers", std::to_string(kWorkers)}}},
+      {"expand_hop",
+       4 * kKernelRows,
+       {{"per_record", NsPerRow(kKernelRows, [&] {
+           expand(wide, wide_ring, 1);
          })}},
        {{"id_columns", "9"}, {"properties", "3"},
         {"rows", std::to_string(kKernelRows)}}},

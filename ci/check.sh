@@ -80,11 +80,16 @@ if [[ "${ONLY}" == "all" || "${ONLY}" == "asan" ]]; then
   echo "=== [asan] injected-cancellation audit over LDBC + examples ==="
   cmake --build "${OUT}/asan" -j "${JOBS}" --target cypher_explain \
     >/dev/null
+  # The batch engine runs at --batch-size 7, so a cancel can land
+  # between many small batches of one operator, the Expand's output cuts
+  # included.
   for engine in row batch; do
+    size_args=()
+    if [[ "${engine}" == "batch" ]]; then size_args=(--batch-size 7); fi
     GRADOOP_AUDIT_CANCELLATION=1 "${OUT}/asan/tools/cypher_explain" \
-      --analyze --engine "${engine}" --ldbc >/dev/null
+      --analyze --engine "${engine}" "${size_args[@]}" --ldbc >/dev/null
     GRADOOP_AUDIT_CANCELLATION=1 "${OUT}/asan/tools/cypher_explain" \
-      --analyze --engine "${engine}" \
+      --analyze --engine "${engine}" "${size_args[@]}" \
       "${ROOT}"/examples/queries/*.cypher >/dev/null
   done
   # The batch join kernels under the sanitizers with many small batches:
@@ -94,6 +99,13 @@ if [[ "${ONLY}" == "all" || "${ONLY}" == "asan" ]]; then
   GRADOOP_AUDIT_PARTITIONING=1 GRADOOP_AUDIT_MEMORY=1 \
     "${OUT}/asan/tools/cypher_explain" --analyze --no-broadcast \
     --engine batch --batch-size 7 --ldbc \
+    "${ROOT}"/examples/queries/*.cypher >/dev/null
+  # One row per batch: every output batch of the Expand is cut after its
+  # first row, and each hop's walk audits every routed bucket.
+  echo "=== [asan] batch engine at --batch-size 1 under the audits ==="
+  GRADOOP_AUDIT_PARTITIONING=1 GRADOOP_AUDIT_MEMORY=1 \
+    "${OUT}/asan/tools/cypher_explain" --analyze \
+    --engine batch --batch-size 1 --ldbc \
     "${ROOT}"/examples/queries/*.cypher >/dev/null
 fi
 
@@ -330,7 +342,8 @@ if [[ "${ONLY}" == "all" || "${ONLY}" == "observability" ]]; then
   (cd "${OBS_DIR}" && GRADOOP_BENCH_SF=0.05 \
     "${OUT}/plain/bench/bench_overheads" >/dev/null)
   for overhead in telemetry memory_accounting cancellation lock_rank \
-                  pool_dispatch join_build_probe batches_to_rows; do
+                  pool_dispatch join_build_probe batches_to_rows \
+                  value_join_key expand_hop; do
     if ! grep -q "\"overhead\": \"${overhead}\"" \
       "${OBS_DIR}/BENCH_overheads.json"; then
       echo "bench_overheads: no ${overhead} record" >&2

@@ -21,37 +21,6 @@ namespace {
 
 using BatchDataset = dfl::Dataset<EmbeddingBatch>;
 
-// Clause evaluation against one batch row — the columnar counterpart of
-// EmbeddingMetaData::MakeResolver. Also valid for the *pending* row of a
-// builder (cells pushed, CommitRow not yet called), which is how the
-// kernels evaluate fused residuals speculatively before committing.
-bool RowPassesClauses(const std::vector<cypher::CnfClause>& clauses,
-                      const EmbeddingMetaData& meta, const EmbeddingBatch& b,
-                      uint32_t row) {
-  if (clauses.empty()) return true;
-  const auto resolver = [&meta, &b, row](
-                            const std::string& var,
-                            const std::string& key) -> epgm::PropertyValue {
-    const int column = meta.PropertyColumn(var, key);
-    if (column < 0) return epgm::PropertyValue::Null();
-    return b.PropertyAt(column, row);
-  };
-  return EvaluateClauses(clauses, resolver);
-}
-
-// Column flags of a fresh batch for `meta`: only columns bound to a path
-// variable hold PATH entries. A merged layout's duplicate column of a
-// shared variable stays kIdFlag — shared variables are join keys, and
-// path bindings cannot be joined on.
-std::vector<uint8_t> FlagsOf(const EmbeddingMetaData& meta) {
-  std::vector<uint8_t> flags(static_cast<size_t>(meta.id_column_count()),
-                             Embedding::kIdFlag);
-  for (const int c : meta.PathColumns()) {
-    flags[static_cast<size_t>(c)] = Embedding::kPathFlag;
-  }
-  return flags;
-}
-
 // Hoisted morphism plan of one merge: the row engine re-reads the meta's
 // column lists per embedding; the batch kernels resolve them once per
 // operator. Every operator already emits rows that satisfy the morphism
@@ -151,22 +120,6 @@ void AppendIdKey(const EmbeddingBatch& b, uint32_t row,
     char buf[8];
     std::memcpy(buf, &id, 8);
     key->append(buf, 8);
-  }
-}
-
-// Appends the row's value-join key: concatenated encodings of the key
-// properties, numerics normalized so 2 and 2.0 join. Callers prune NULL
-// keys first; a NULL here would be a kernel bug.
-void AppendValueKey(const EmbeddingBatch& b, uint32_t row,
-                    const std::vector<int>& columns, std::string* key) {
-  for (const int c : columns) {
-    const epgm::PropertyValue value = b.PropertyAt(c, row);
-    assert(!value.is_null() && "NULL keys must be pruned before the join");
-    if (value.is_numeric()) {
-      epgm::PropertyValue(value.AsDouble()).EncodeTo(key);
-    } else {
-      value.EncodeTo(key);
-    }
   }
 }
 
@@ -307,7 +260,7 @@ struct MergeParams {
   MergeParams(const EmbeddingMetaData& merged, int left_cols,
               const MorphismSetting& semantics,
               std::vector<cypher::CnfClause> residual_clauses, int size)
-      : flags(FlagsOf(merged)),
+      : flags(BatchColumnFlags(merged)),
         props(merged.property_column_count()),
         left_id_columns(left_cols),
         morphism(merged, left_cols, semantics),
@@ -604,13 +557,13 @@ BatchSet ExchangeAndMerge(const BatchSet& left, const BatchSet& right,
     left_exchanged =
         hints.left_prepartitioned
             ? AdoptBatches(left.data, left_hash, label)
-            : ScatterBatches(left.data, FlagsOf(left.meta),
+            : ScatterBatches(left.data, BatchColumnFlags(left.meta),
                              left.meta.property_column_count(), left_hash,
                              label);
     right_exchanged =
         hints.right_prepartitioned
             ? AdoptBatches(right.data, right_hash, label)
-            : ScatterBatches(right.data, FlagsOf(right.meta),
+            : ScatterBatches(right.data, BatchColumnFlags(right.meta),
                              right.meta.property_column_count(), right_hash,
                              label);
   } else {
@@ -632,9 +585,28 @@ BatchSet ExchangeAndMerge(const BatchSet& left, const BatchSet& right,
 
 }  // namespace
 
+// Every encoded cell but an int64 is already its key encoding; an int64
+// is re-encoded as the double it equals. No cell is decoded.
+void AppendValueKey(const EmbeddingBatch& b, uint32_t row,
+                    const std::vector<int>& columns, std::string* key) {
+  using Type = epgm::PropertyValue::Type;
+  for (const int c : columns) {
+    const std::string_view cell = b.PropertyCellAt(c, row);
+    const Type type = EmbeddingBatch::CellType(cell);
+    assert(type != Type::kNull && "NULL keys must be pruned before the join");
+    if (type == Type::kInt64) {
+      int64_t value;
+      std::memcpy(&value, cell.data() + 1, sizeof(value));
+      epgm::PropertyValue(static_cast<double>(value)).EncodeTo(key);
+    } else {
+      key->append(cell);
+    }
+  }
+}
+
 BatchSet RowsToBatches(const EmbeddingSet& rows, int batch_size) {
   assert(batch_size > 0);
-  std::vector<uint8_t> flags = FlagsOf(rows.meta);
+  std::vector<uint8_t> flags = BatchColumnFlags(rows.meta);
   const int props = rows.meta.property_column_count();
   common::CancellationToken& cancel = rows.data.context()->cancellation();
   auto data = rows.data.MapPartition<EmbeddingBatch>(
@@ -689,7 +661,7 @@ BatchSet ScanVerticesBatch(const dataflow::DatasetList<epgm::Vertex>& vertices,
   assert(batch_size > 0);
   const std::vector<std::string> projected =
       ProjectedKeys(meta, query_vertex.variable);
-  std::vector<uint8_t> flags = FlagsOf(meta);
+  std::vector<uint8_t> flags = BatchColumnFlags(meta);
   const int props = meta.property_column_count();
   common::CancellationToken& cancel = vertices.context()->cancellation();
   auto data = vertices.MapPartition<EmbeddingBatch>(
@@ -742,7 +714,7 @@ BatchSet ScanEdgesBatch(const dataflow::DatasetList<epgm::Edge>& edges,
   const std::vector<std::string> projected =
       ProjectedKeys(meta, query_edge.variable);
   const bool any_direction = query_edge.any_direction;
-  std::vector<uint8_t> flags = FlagsOf(meta);
+  std::vector<uint8_t> flags = BatchColumnFlags(meta);
   const int props = meta.property_column_count();
   common::CancellationToken& cancel = edges.context()->cancellation();
   auto data = edges.MapPartition<EmbeddingBatch>(
@@ -880,7 +852,8 @@ BatchSet ValueJoinBatches(const BatchSet& left, const BatchSet& right,
             const uint32_t row = b.ActiveRow(i);
             bool has_null = false;
             for (const int c : columns) {
-              if (b.PropertyAt(c, row).is_null()) {
+              if (EmbeddingBatch::CellType(b.PropertyCellAt(c, row)) ==
+                  epgm::PropertyValue::Type::kNull) {
                 has_null = true;
                 break;
               }
@@ -911,25 +884,6 @@ BatchSet ValueJoinBatches(const BatchSet& left, const BatchSet& right,
                           RowKeyHash<AppendValueKey>(left_key_columns),
                           RowKeyHash<AppendValueKey>(right_key_columns), mp,
                           strategy, hints, "ValueJoinEmbeddings", merge);
-}
-
-BatchSet ExpandBatches(const BatchSet& input,
-                       const epgm::AdjacencyIndex& adjacency,
-                       int start_column, int bound_end_column,
-                       const EmbeddingMetaData& result_meta, int lower_bound,
-                       int upper_bound, const MorphismSetting& semantics,
-                       const std::vector<cypher::CnfClause>& residual,
-                       int batch_size) {
-  // The frontier iteration is inherently row-dependent (each path grows
-  // from its own end vertex), so the batch engine compacts to rows at
-  // this operator's boundary, runs the row engine's bulk iteration, and
-  // re-batches the emissions (docs/vectorized.md).
-  EmbeddingSet rows = BatchesToRows(input);
-  EmbeddingSet expanded =
-      ExpandEmbeddings(rows, adjacency, start_column, bound_end_column,
-                       result_meta, lower_bound, upper_bound, semantics,
-                       residual);
-  return RowsToBatches(expanded, batch_size);
 }
 
 }  // namespace gradoop::query

@@ -23,6 +23,45 @@ struct BatchSet {
   EmbeddingMetaData meta;
 };
 
+// Column flags of a fresh batch for `meta`: only columns bound to a path
+// variable hold PATH entries. A merged layout's duplicate column of a
+// shared variable stays kIdFlag — shared variables are join keys, and
+// path bindings cannot be joined on.
+inline std::vector<uint8_t> BatchColumnFlags(const EmbeddingMetaData& meta) {
+  std::vector<uint8_t> flags(static_cast<size_t>(meta.id_column_count()),
+                             Embedding::kIdFlag);
+  for (const int c : meta.PathColumns()) {
+    flags[static_cast<size_t>(c)] = Embedding::kPathFlag;
+  }
+  return flags;
+}
+
+// Clause evaluation against one batch row — the columnar counterpart of
+// EmbeddingMetaData::MakeResolver. Also valid for the *pending* row of a
+// builder (cells pushed, CommitRow not yet called), which is how the
+// kernels evaluate fused residuals speculatively before committing.
+inline bool RowPassesClauses(const std::vector<cypher::CnfClause>& clauses,
+                             const EmbeddingMetaData& meta,
+                             const EmbeddingBatch& b, uint32_t row) {
+  if (clauses.empty()) return true;
+  const auto resolver = [&meta, &b, row](
+                            const std::string& var,
+                            const std::string& key) -> epgm::PropertyValue {
+    const int column = meta.PropertyColumn(var, key);
+    if (column < 0) return epgm::PropertyValue::Null();
+    return b.PropertyAt(column, row);
+  };
+  return EvaluateClauses(clauses, resolver);
+}
+
+// Appends row `row`'s value-join key over the property `columns`: the
+// concatenated key encodings, numerics normalized so 2 and 2.0 join —
+// byte for byte the key the row engine's ValueJoinEmbeddings builds, so
+// both engines place every row with the same std::hash<std::string>.
+// NULL keys must have been pruned.
+void AppendValueKey(const EmbeddingBatch& b, uint32_t row,
+                    const std::vector<int>& columns, std::string* key);
+
 // Conversions between the two representations. Both are narrow stages;
 // the reconstruction in BatchesToRows is byte-identical to what the row
 // kernels would have produced (the differential tests pin this).
@@ -85,11 +124,13 @@ BatchSet ValueJoinBatches(const BatchSet& left, const BatchSet& right,
                           const std::vector<cypher::CnfClause>& residual,
                           dataflow::JoinShuffleHints hints, int batch_size);
 
-// Variable-length expansion, batch-at-a-time at the boundaries: input
-// batches compact to rows, the row engine's bulk frontier iteration runs
-// (the traversal is inherently row-dependent), and the emissions
-// re-batch. See docs/vectorized.md for why this operator is the
-// deliberate exception to end-to-end columnar processing.
+// Variable-length expansion: ExpandEmbeddings' hop loop (operators.cc
+// runs both engines through one template), with each frontier record
+// naming its base row in place as (batch, row) and every emitted path
+// written straight into the partition's output batch. Emits the rows,
+// per-partition order and batch boundaries of
+// RowsToBatches(ExpandEmbeddings(BatchesToRows(input))) without building
+// a row, and charges what ExpandEmbeddings charges.
 BatchSet ExpandBatches(const BatchSet& input,
                        const epgm::AdjacencyIndex& adjacency,
                        int start_column, int bound_end_column,

@@ -44,6 +44,21 @@ std::vector<uint64_t> EmbeddingBatch::PathAt(int column, uint32_t row) const {
   return ids;
 }
 
+bool EmbeddingBatch::PathContains(uint64_t id,
+                                  const std::vector<int>& path_columns,
+                                  bool edges, uint32_t row) const {
+  // Segments hold e1, v1, e2, ..., ek: edges at even indices.
+  for (const int c : path_columns) {
+    if (!IsPathColumn(c)) continue;
+    const size_t offset = PayloadAt(c, row);
+    const uint32_t len = ReadUint32(cols_->path_pool, offset);
+    for (uint32_t i = edges ? 0 : 1; i < len; i += 2) {
+      if (ReadUint64(cols_->path_pool, offset + 4 + 8 * i) == id) return true;
+    }
+  }
+  return false;
+}
+
 epgm::PropertyValue EmbeddingBatch::PropertyAt(int column,
                                                uint32_t row) const {
   const size_t cell =
@@ -329,6 +344,31 @@ void EmbeddingBatch::AppendRow(const Embedding& embedding) {
   CommitRow();
 }
 
+void EmbeddingBatch::RowFootprint(uint32_t row, size_t* path_bytes,
+                                  size_t* prop_bytes) const {
+  const Columns& cols = *cols_;
+  const int columns = num_id_columns();
+  const int props = cols.property_columns;
+  const size_t base = static_cast<size_t>(row) * props;
+  *path_bytes = 0;
+  for (int c = 0; c < columns; ++c) {
+    if (IsPathColumn(c)) {
+      *path_bytes += 4 + 8 * ReadUint32(cols.path_pool, PayloadAt(c, row));
+    }
+  }
+  *prop_bytes = 4 * static_cast<size_t>(props);
+  for (int c = 0; c < props; ++c) *prop_bytes += cols.prop_lens[base + c];
+}
+
+size_t EmbeddingBatch::RowSerializedSize(uint32_t row) const {
+  size_t path_bytes = 0;
+  size_t prop_bytes = 0;
+  RowFootprint(row, &path_bytes, &prop_bytes);
+  // Embedding::SerializedSize over the arrays RowAt would build.
+  return 3 * sizeof(uint32_t) + num_id_columns() * Embedding::kEntryWidth +
+         path_bytes + prop_bytes;
+}
+
 Embedding EmbeddingBatch::RowAt(uint32_t row) const {
   const Columns& cols = *cols_;
   const int columns = num_id_columns();
@@ -338,13 +378,8 @@ Embedding EmbeddingBatch::RowAt(uint32_t row) const {
   // once, then write entries, path segments and length-prefixed property
   // cells verbatim — no decode/re-encode round trips, no regrowth.
   size_t path_bytes = 0;
-  for (int c = 0; c < columns; ++c) {
-    if (IsPathColumn(c)) {
-      path_bytes += 4 + 8 * ReadUint32(cols.path_pool, PayloadAt(c, row));
-    }
-  }
-  size_t prop_bytes = 4 * static_cast<size_t>(props);
-  for (int c = 0; c < props; ++c) prop_bytes += cols.prop_lens[base + c];
+  size_t prop_bytes = 0;
+  RowFootprint(row, &path_bytes, &prop_bytes);
   std::string id_data(columns * Embedding::kEntryWidth, '\0');
   std::string path_data(path_bytes, '\0');
   std::string prop_data(prop_bytes, '\0');

@@ -67,6 +67,11 @@ class EmbeddingBatch {
     return cols_->ids[static_cast<size_t>(column)][row];
   }
   std::vector<uint64_t> PathAt(int column, uint32_t row) const;
+  // True if any listed PATH column of row `row` holds `id` at an even
+  // (edge) or odd (vertex) position — Embedding::PathContains on a row
+  // read in place.
+  bool PathContains(uint64_t id, const std::vector<int>& path_columns,
+                    bool edges, uint32_t row) const;
   epgm::PropertyValue PropertyAt(int column, uint32_t row) const;
   // Encoded property bytes (no length prefix), copyable verbatim.
   std::string_view PropertyCellAt(int column, uint32_t row) const {
@@ -74,6 +79,12 @@ class EmbeddingBatch {
         static_cast<size_t>(row) * cols_->property_columns + column;
     return std::string_view(cols_->prop_pool)
         .substr(cols_->prop_offsets[cell], cols_->prop_lens[cell]);
+  }
+
+  // Type of an encoded property cell: its leading tag byte.
+  static epgm::PropertyValue::Type CellType(std::string_view cell) {
+    assert(!cell.empty());
+    return static_cast<epgm::PropertyValue::Type>(cell[0]);
   }
 
   // --- selection vector ------------------------------------------------
@@ -158,6 +169,9 @@ class EmbeddingBatch {
   // exact append order of the row kernels. Each of the row's three byte
   // arrays is sized once and written with memcpy.
   Embedding RowAt(uint32_t row) const;
+  // RowAt(row).SerializedSize(), without building the row: the wire size
+  // the cost model bills when a row travels as an Embedding.
+  size_t RowSerializedSize(uint32_t row) const;
 
   // --- accounting ------------------------------------------------------
 
@@ -186,6 +200,11 @@ class EmbeddingBatch {
     std::string prop_pool;
     uint32_t rows = 0;
   };
+
+  // Byte sizes of row `row`'s path segments and of its length-prefixed
+  // property cells: the two variable-length arrays RowAt writes.
+  void RowFootprint(uint32_t row, size_t* path_bytes,
+                    size_t* prop_bytes) const;
 
   Columns& MutableColumns() {
     assert(cols_.use_count() == 1 && "mutating a shared batch");

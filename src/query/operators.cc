@@ -8,6 +8,8 @@
 #include <span>
 #include <string>
 
+#include "query/batch_operators.h"
+
 namespace gradoop::query {
 
 namespace dfl = ::gradoop::dataflow;
@@ -249,15 +251,50 @@ EmbeddingSet SelectEmbeddings(const EmbeddingSet& input,
 
 namespace {
 
+// --- Variable-length expansion: one hop loop for both engines ---------
+//
+// A frontier record names its base row in place. The row engine's base is
+// the input Embedding itself; the batch engine's is a BatchRow, an input
+// batch row addressed as (batch, row) with its wire size computed once.
+// Neither engine copies a base row until a finished path is written.
+struct BatchRow {
+  const EmbeddingBatch* batch = nullptr;
+  uint32_t row = 0;
+  size_t bytes = 0;  // batch->RowSerializedSize(row)
+};
+
+// What the hop loop reads off a base row, per engine.
+size_t BaseBytes(const Embedding& e) { return e.SerializedSize(); }
+size_t BaseBytes(const BatchRow& r) { return r.bytes; }
+uint64_t BaseId(const Embedding& e, int column) { return e.IdAt(column); }
+uint64_t BaseId(const BatchRow& r, int column) {
+  return r.batch->IdAt(column, r.row);
+}
+// True if the base row binds `edge` in an edge column or inside a path.
+bool BaseBindsEdge(const Embedding& e, uint64_t edge,
+                   const std::vector<int>& edge_columns,
+                   const std::vector<int>& path_columns) {
+  return e.ContainsIdAt(edge, edge_columns) ||
+         e.PathContains(edge, path_columns, true);
+}
+bool BaseBindsEdge(const BatchRow& r, uint64_t edge,
+                   const std::vector<int>& edge_columns,
+                   const std::vector<int>& path_columns) {
+  for (const int c : edge_columns) {
+    if (r.batch->IdAt(c, r.row) == edge) return true;
+  }
+  return r.batch->PathContains(edge, path_columns, true, r.row);
+}
+
 // Working record of one in-flight variable-length expansion: a path of
 // `hops` edges from the start binding of `*base` to `end`. Neither the
-// base embedding nor the path is copied from hop to hop: `base` points at
-// a row of the expansion's input dataset, and `prev` at the state this one
-// grew from — a record of the previous hop's exchanged frontier, which
-// ExpandEmbeddings keeps alive until it returns. The path's via list
+// base row nor the path is copied from hop to hop: `prev` points at the
+// record this one grew from, in the previous hop's routed frontier, which
+// the hop loop keeps alive until it returns. The path's via list
 // (alternating edge/vertex ids) is the chain of (edge, end) pairs.
+template <typename Base>
 struct ExpandState {
-  const Embedding* base = nullptr;    // the input embedding, untouched
+  const Base* base = nullptr;         // the input row, untouched
   const ExpandState* prev = nullptr;  // the path without its last hop
   uint64_t edge = 0;                  // last edge walked (hops >= 1)
   uint64_t end = 0;                   // current path end vertex
@@ -268,89 +305,380 @@ struct ExpandState {
   // The record the paper's plan ships per hop carries the whole base
   // embedding and the via list, so that is what the cost model prices.
   size_t SerializedSize() const {
-    return base->SerializedSize() + sizeof(uint32_t) + 8 * ViaSize() + 8;
+    return BaseBytes(*base) + sizeof(uint32_t) + 8 * ViaSize() + 8;
   }
 
   // The via list in walk order: e1, v1, e2, ..., v(k-1), ek.
-  std::vector<uint64_t> Via() const {
-    std::vector<uint64_t> via(ViaSize());
-    size_t i = via.size();
+  void Via(std::vector<uint64_t>* via) const {
+    via->resize(ViaSize());
+    size_t i = via->size();
     for (const ExpandState* s = this; s->hops > 0; s = s->prev) {
-      via[--i] = s->edge;
-      if (i > 0) via[--i] = s->prev->end;
+      (*via)[--i] = s->edge;
+      if (i > 0) (*via)[--i] = s->prev->end;
     }
-    return via;
   }
 };
 
-uint64_t EndOf(const ExpandState& s) { return s.end; }
+// The compiled parameters of one Expand, shared by both engines.
+struct ExpandSpec {
+  ExpandSpec(const EmbeddingMetaData& input_meta,
+             const epgm::AdjacencyIndex& adjacency_index, int start,
+             int bound_end, const EmbeddingMetaData& meta, int lower,
+             int upper, const MorphismSetting& semantics,
+             const std::vector<cypher::CnfClause>& residual_clauses)
+      : adjacency(adjacency_index),
+        start_column(start),
+        bound_end_column(bound_end),
+        result_meta(meta),
+        lower_bound(lower),
+        upper_bound(upper),
+        morphism(semantics),
+        residual(residual_clauses),
+        base_vertex_columns(input_meta.VertexColumns()),
+        base_edge_columns(input_meta.EdgeColumns()),
+        base_path_columns(input_meta.PathColumns()),
+        path_column(input_meta.id_column_count()),
+        reverse(adjacency_index.reverse()),
+        end_bound(bound_end >= 0),
+        vertex_iso(semantics.vertex == MatchSemantics::kIsomorphism),
+        edge_iso(semantics.edge == MatchSemantics::kIsomorphism) {}
 
-// One 1-hop expansion: exchanges the frontier on its end vertex, then
-// every partition walks its share of `adjacency` and `step(state,
-// neighbor, &out)` grows the surviving paths. The exchanged frontier is
-// appended to `paths`, which must outlive the returned states (they point
-// into it). Charged exactly as the paper's per-hop repartition join of
-// the frontier with the edge set: the frontier exchange really runs; the
-// edge side's exchange and build state are charged from the totals the
-// index computed when it was built.
-template <typename Step>
-dfl::Dataset<ExpandState> ExpandHop(
-    const dfl::Dataset<ExpandState>& frontier,
-    const epgm::AdjacencyIndex& adjacency, const Step& step,
-    std::vector<dfl::Dataset<ExpandState>>* paths) {
-  static constexpr const char* kLabel = "ExpandStep";
-  dfl::ExecutionContext& ctx = *frontier.context();
-  const dfl::Dataset<ExpandState> shuffled =
-      paths->emplace_back(frontier.RepartitionByKey(EndOf, kLabel));
-  telemetry::Telemetry& tel = ctx.telemetry();
-  dfl::ChargeExchange(ctx, kLabel, adjacency.exchange(),
-                      tel.enabled() ? tel.tracer().NowMicros() : 0.0);
+  const epgm::AdjacencyIndex& adjacency;
+  int start_column;
+  int bound_end_column;
+  const EmbeddingMetaData& result_meta;
+  int lower_bound;
+  int upper_bound;
+  MorphismSetting morphism;
+  const std::vector<cypher::CnfClause>& residual;
+  // Columns of the *input* layout (the result meta additionally holds the
+  // fresh path/end columns).
+  std::vector<int> base_vertex_columns;
+  std::vector<int> base_edge_columns;
+  std::vector<int> base_path_columns;
+  int path_column;  // the new PATH column, right after the base's columns
+  bool reverse;
+  bool end_bound;
+  bool vertex_iso;
+  bool edge_iso;
+};
 
-  const int p = frontier.num_partitions();
-  dfl::MemoryAccountant& accountant = ctx.accountant();
-  uint64_t staged_bytes = 0;
-  if (accountant.enabled()) {
-    for (int part = 0; part < p; ++part) {
-      // cancellation: accounting byte walk; the walk below polls.
-      for (const ExpandState& s : shuffled.partition(part)) {
-        staged_bytes += dfl::RecordBytes(s);
-      }
+// Writes finished paths as owned Embeddings: the base row, then the PATH
+// column and (unless the end is bound) the end id. A path is written as
+// a pending row, checked, then committed or dropped.
+class RowPathWriter {
+ public:
+  RowPathWriter(const ExpandSpec& spec, std::vector<Embedding>* out)
+      : spec_(&spec), out_(out) {}
+
+  void Begin(const Embedding& base, const std::vector<uint64_t>& via,
+             uint64_t end) {
+    pending_ = base;
+    pending_.AppendPath(via);
+    if (!spec_->end_bound) pending_.AppendId(end);
+  }
+  bool PendingSatisfiesMorphism() const {
+    return SatisfiesMorphism(pending_, spec_->result_meta, spec_->morphism);
+  }
+  bool PendingPassesResidual() const {
+    return PassesResidual(spec_->residual, spec_->result_meta, pending_);
+  }
+  void Commit() { out_->push_back(std::move(pending_)); }
+  void Rollback() {}
+  void Finish() {}
+
+ private:
+  const ExpandSpec* spec_;
+  std::vector<Embedding>* out_;
+  Embedding pending_;
+};
+
+// Writes finished paths as cells appended to the partition's output
+// batch: the base row's id cells and PATH segments (rebased), the new
+// PATH column, the end id, and the base's property cells verbatim — the
+// cells RowsToBatches would copy out of the row engine's Embedding. The
+// builder persists across hops and is cut at `batch_size` rows, so
+// batches break where a re-batching of the row engine's output breaks.
+class BatchPathWriter {
+ public:
+  BatchPathWriter(const ExpandSpec& spec, const std::vector<uint8_t>& flags,
+                  int props, int batch_size, std::vector<EmbeddingBatch>* out)
+      : spec_(&spec),
+        flags_(&flags),
+        props_(props),
+        batch_size_(batch_size),
+        out_(out),
+        builder_(flags, props) {}
+
+  void Begin(const BatchRow& base, const std::vector<uint64_t>& via,
+             uint64_t end) {
+    mark_ = builder_.Mark();
+    builder_.AppendRowCells(*base.batch, base.row, 0);
+    builder_.PushPath(spec_->path_column, via);
+    if (!spec_->end_bound) builder_.PushId(spec_->path_column + 1, end);
+  }
+  bool PendingSatisfiesMorphism() const {
+    return SatisfiesMorphism(builder_.RowAt(builder_.num_rows()),
+                             spec_->result_meta, spec_->morphism);
+  }
+  bool PendingPassesResidual() const {
+    return RowPassesClauses(spec_->residual, spec_->result_meta, builder_,
+                            builder_.num_rows());
+  }
+  void Commit() {
+    builder_.CommitRow();
+    if (static_cast<int>(builder_.num_rows()) >= batch_size_) {
+      out_->push_back(std::move(builder_));
+      builder_ = EmbeddingBatch(*flags_, props_);
     }
-    staged_bytes += adjacency.total_bytes();
-    accountant.Charge(staged_bytes);
+  }
+  void Rollback() { builder_.Rollback(mark_); }
+  void Finish() {
+    if (builder_.num_rows() > 0) out_->push_back(std::move(builder_));
   }
 
-  auto out = std::make_shared<dfl::Dataset<ExpandState>::Partitions>(p);
-  dfl::BuildProbeTally tally(p);
-  const std::string stage_label = std::string(kLabel) + "/BuildProbe";
+ private:
+  const ExpandSpec* spec_;
+  const std::vector<uint8_t>* flags_;
+  int props_;
+  int batch_size_;
+  std::vector<EmbeddingBatch>* out_;
+  EmbeddingBatch builder_;
+  EmbeddingBatch::RowMark mark_;
+};
+
+// The hop loop of both engines. `visit_bases(t, visit)` calls
+// visit(base) for each input row of partition t, in order, polling the
+// cancellation token per row, and returns the partition's row count;
+// (*writers)[t] writes partition t's finished paths.
+//
+// Every pass is one pool dispatch. Partition t reads the records routed
+// to it in place, one per-source bucket after another in source order —
+// the partition a hash exchange would have assembled — walks
+// `adjacency`, writes the paths the hop finishes, and routes each grown
+// record into the next hop's bucket for the partition owning its end.
+// The init pass maps the input rows, writes the zero-hop paths and routes
+// hop 1 the same way; the last hop routes nothing. Each pass keeps its
+// tallies per task, and the driver charges them after the pass in the
+// order of the paper's per-hop plan: the frontier exchange, the edge
+// side's exchange, the staged state, the build/probe stage and the
+// emission (docs/INTERNALS.md, "ExpandEmbeddings").
+template <typename Base, typename Writer, typename VisitBases>
+void RunExpand(dfl::ExecutionContext& ctx, const ExpandSpec& spec,
+               const VisitBases& visit_bases, std::vector<Writer>* writers) {
+  using State = ExpandState<Base>;
+  using Buckets = std::vector<std::vector<State>>;  // [target]
+  static constexpr const char* kStepLabel = "ExpandStep";
+  const epgm::AdjacencyIndex& adjacency = spec.adjacency;
+  const int p = ctx.num_workers();
   common::CancellationToken& cancel = ctx.cancellation();
-  ctx.pool().RunAndWait(
-      p,
-      [&](int part) {
-        std::vector<ExpandState>& dst = (*out)[part];
-        const std::vector<ExpandState>& src = shuffled.partition(part);
-        adjacency.Walk(
-            part, src, EndOf,
-            [&](const ExpandState& s,
-                std::span<const epgm::AdjacencyIndex::Neighbor> adj) {
-              // Newest first: HashJoin's unordered_multimap build table
-              // returns equal keys in that order, so the hop emits the
-              // same rows in the same per-partition order as a join.
-              // cancellation: adjacency of one frontier record; Walk polls
-              // per record.
-              for (auto it = adj.rbegin(); it != adj.rend(); ++it) {
-                step(s, *it, &dst);
-              }
-            },
-            cancel);
-        tally.work[part] = src.size() + adjacency.rows(part);
-        tally.out_counts[part] = dst.size();
-        tally.state_bytes[part] = adjacency.bytes(part);
-        tally.state_records[part] = adjacency.rows(part);
-      },
-      stage_label.c_str());
-  dfl::ChargeBuildProbe(ctx, stage_label, tally, staged_bytes);
-  return dfl::Dataset<ExpandState>(frontier.context(), std::move(out));
+
+  // Grows path `s` by the adjacency entry `adj` into *next, enforcing the
+  // morphism constraints on the grown path.
+  const auto grow = [&spec](const State& s,
+                            const epgm::AdjacencyIndex::Neighbor& adj,
+                            State* next) {
+    const uint64_t new_end = adj.other;
+    if (spec.edge_iso) {
+      // The new edge must not repeat within the path nor collide with
+      // edges already bound in the base row.
+      for (const State* q = &s; q->hops > 0; q = q->prev) {
+        if (q->edge == adj.edge_id) return false;
+      }
+      if (BaseBindsEdge(*s.base, adj.edge_id, spec.base_edge_columns,
+                        spec.base_path_columns)) {
+        return false;
+      }
+    }
+    if (spec.vertex_iso) {
+      // Path-local distinctness: the new end must not revisit an interior
+      // vertex, and must not return to the path's start — unless it is the
+      // bound end binding (cycle queries where the path's endpoints are the
+      // same query variable). Distinctness of the end against other vertex
+      // *columns* is enforced at emission; path interiors are free, as
+      // they bind no query variable.
+      if (new_end == s.end) return false;  // data self-loop revisits the end
+      for (const State* q = s.prev; q != nullptr && q->hops > 0;
+           q = q->prev) {
+        if (q->end == new_end) return false;
+      }
+      const bool is_bound_end =
+          spec.end_bound && BaseId(*s.base, spec.bound_end_column) == new_end;
+      if (!is_bound_end && new_end == BaseId(*s.base, spec.start_column)) {
+        return false;
+      }
+    }
+    *next = {s.base, &s, adj.edge_id, new_end, s.hops + 1};
+    return true;
+  };
+
+  // Writes the finished path `s` if it closes on the bound end and passes
+  // the morphism and residual checks; returns whether it was written. The
+  // hop step keeps the path's edges distinct from each other and from the
+  // base row's, and every base row already satisfies the morphism on its
+  // own columns, so all that is left to compare is a fresh end column
+  // against the base's vertex columns. Debug builds confirm every verdict
+  // with the full check on the pending row.
+  const auto emit = [&spec](const State& s, Writer& w,
+                            std::vector<uint64_t>* via) {
+    if (spec.end_bound &&
+        BaseId(*s.base, spec.bound_end_column) != s.end) {
+      return false;
+    }
+    const bool distinct =
+        !spec.vertex_iso || spec.end_bound ||
+        std::none_of(spec.base_vertex_columns.begin(),
+                     spec.base_vertex_columns.end(),
+                     [&s](int c) { return BaseId(*s.base, c) == s.end; });
+    s.Via(via);
+    if (spec.reverse) std::reverse(via->begin(), via->end());
+    if (!distinct) {
+#ifndef NDEBUG
+      w.Begin(*s.base, *via, s.end);
+      assert(!w.PendingSatisfiesMorphism() &&
+             "end-column morphism check disagrees with the full check");
+      w.Rollback();
+#endif
+      return false;
+    }
+    w.Begin(*s.base, *via, s.end);
+    assert(w.PendingSatisfiesMorphism() &&
+           "end-column morphism check disagrees with the full check");
+    if (!w.PendingPassesResidual()) {
+      w.Rollback();
+      return false;
+    }
+    w.Commit();
+    return true;
+  };
+
+  // Appends `s` to `out`'s bucket for the partition owning its end and
+  // tallies it as a record source `t` sends into the next hop's exchange.
+  // Every record's bytes enter `exchanged`: the exchange's telemetry
+  // counter and the state the accountant stages.
+  const auto route = [&adjacency](const State& s, int t, Buckets* out,
+                                  dfl::ExchangeTally* tally) {
+    const int target = adjacency.OwnerOf(s.end);
+    const uint64_t bytes = s.SerializedSize();
+    tally->exchanged += bytes;
+    if (target != t) {
+      tally->out_bytes[t] += bytes;
+      tally->in_bytes[target] += bytes;
+      tally->moved += bytes;
+    }
+    (*out)[target].push_back(s);
+  };
+
+  // routed[s][t]: the records source s routed to partition t for the
+  // next hop. Every hop's routed frontier stays alive in `frontiers`:
+  // later records point into it.
+  std::vector<Buckets> routed(p, Buckets(p));
+  std::vector<dfl::ExchangeTally> route_tallies(p, dfl::ExchangeTally(p));
+  std::vector<std::vector<Buckets>> frontiers;
+
+  {
+    std::vector<uint64_t> rows(p, 0);
+    std::vector<uint64_t> emitted(p, 0);
+    const bool emit_zero = spec.lower_bound == 0;
+    const bool route_first = spec.upper_bound >= 1;
+    ctx.pool().RunAndWait(
+        p,
+        [&](int t) {
+          std::vector<uint64_t> via;
+          rows[t] = visit_bases(t, [&](const Base& base) {
+            const State s{&base, nullptr, 0, BaseId(base, spec.start_column),
+                          0};
+            if (emit_zero && emit(s, (*writers)[t], &via)) ++emitted[t];
+            if (route_first) route(s, t, &routed[t], &route_tallies[t]);
+          });
+          route_tallies[t].in_counts[t] = route_first ? rows[t] : 0;
+        },
+        "ExpandInit");
+    dfl::ChargeNarrow(ctx, "ExpandInit", rows, rows);
+    if (emit_zero) dfl::ChargeNarrow(ctx, "ExpandEmitZero", rows, emitted);
+  }
+
+  dfl::MemoryAccountant& accountant = ctx.accountant();
+  telemetry::Telemetry& tel = ctx.telemetry();
+  const std::string stage_label = std::string(kStepLabel) + "/BuildProbe";
+  const auto end_of = [](const State& s) { return s.end; };
+  for (int k = 1; k <= spec.upper_bound; ++k) {
+    // Each hop runs a full pass, so one boundary check per hop bounds the
+    // loop's cancel latency to one stage.
+    if (cancel.CancelledOrExpired()) break;
+    dfl::ExchangeTally exchange(p);
+    for (const dfl::ExchangeTally& source : route_tallies) {
+      exchange.Add(source);
+    }
+    uint64_t frontier_size = 0;
+    for (const uint64_t n : exchange.in_counts) frontier_size += n;
+    if (frontier_size == 0) break;  // no more valid paths
+
+    const std::vector<Buckets>& frontier =
+        frontiers.emplace_back(std::move(routed));
+    routed.assign(p, Buckets(p));
+    route_tallies.assign(p, dfl::ExchangeTally(p));
+    const bool emitting = k >= spec.lower_bound;
+    const bool routing = k < spec.upper_bound;
+    std::vector<uint64_t> grown(p, 0);
+    std::vector<uint64_t> emitted(p, 0);
+    dfl::BuildProbeTally tally(p);
+    ctx.pool().RunAndWait(
+        p,
+        [&](int t) {
+          uint64_t read = 0;
+          // cancellation: O(partitions) size walk, no per-record work.
+          for (int s = 0; s < p; ++s) read += frontier[s][t].size();
+          std::vector<uint64_t> via;
+          Writer& writer = (*writers)[t];
+          const auto visit =
+              [&](const State& s,
+                  std::span<const epgm::AdjacencyIndex::Neighbor> adj) {
+                // Newest first: a hash join's build table returns equal
+                // keys in that order, so the hop grows the same records in
+                // the same per-partition order as the join it replaces.
+                // cancellation: adjacency of one frontier record; Walk
+                // polls per record.
+                for (auto it = adj.rbegin(); it != adj.rend(); ++it) {
+                  State next;
+                  if (!grow(s, *it, &next)) continue;
+                  ++grown[t];
+                  if (emitting && emit(next, writer, &via)) ++emitted[t];
+                  if (routing) {
+                    route(next, t, &routed[t], &route_tallies[t]);
+                  }
+                }
+              };
+          // cancellation: one Walk per source bucket, each polling per
+          // record; a tripped token skips the remaining buckets.
+          for (int s = 0; s < p && !cancel.cancelled(); ++s) {
+            if (frontier[s][t].empty()) continue;
+            adjacency.Walk(t, frontier[s][t], end_of, visit, cancel);
+          }
+          route_tallies[t].in_counts[t] = routing ? grown[t] : 0;
+          tally.work[t] = read + adjacency.rows(t);
+          tally.out_counts[t] = grown[t];
+          tally.state_bytes[t] = adjacency.bytes(t);
+          tally.state_records[t] = adjacency.rows(t);
+        },
+        stage_label.c_str());
+
+    // The frontier exchange ran inside the passes, so its span is empty.
+    const double now_us = tel.enabled() ? tel.tracer().NowMicros() : 0.0;
+    dfl::ChargeExchange(ctx, kStepLabel, exchange, now_us);
+    // The edge side's exchange and build state, charged from the totals
+    // the index computed when it was built.
+    dfl::ChargeExchange(ctx, kStepLabel, adjacency.exchange(), now_us);
+    uint64_t staged_bytes = 0;
+    if (accountant.enabled()) {
+      staged_bytes = exchange.exchanged + adjacency.total_bytes();
+      accountant.Charge(staged_bytes);
+    }
+    dfl::ChargeBuildProbe(ctx, stage_label, tally, staged_bytes);
+    if (emitting) dfl::ChargeNarrow(ctx, "ExpandEmit", grown, emitted);
+  }
+  // cancellation: O(partitions) flush of the writers' open batches.
+  for (Writer& writer : *writers) writer.Finish();
 }
 
 }  // namespace
@@ -364,108 +692,81 @@ EmbeddingSet ExpandEmbeddings(const EmbeddingSet& input,
                               const std::vector<cypher::CnfClause>& residual) {
   assert(start_column >= 0 && "expansion start must be bound");
   assert(adjacency.num_partitions() == input.data.num_partitions());
-  const bool reverse = adjacency.reverse();
-  const bool end_bound = bound_end_column >= 0;
-
-  // Columns of the *input* layout, read off the input's compiled meta
-  // (the result meta additionally holds the fresh path/end columns).
-  const std::vector<int> base_edge_columns = input.meta.EdgeColumns();
-  const std::vector<int> base_path_columns = input.meta.PathColumns();
-  const bool vertex_iso = semantics.vertex == MatchSemantics::kIsomorphism;
-  const bool edge_iso = semantics.edge == MatchSemantics::kIsomorphism;
-
-  // Builds the emitted embedding for a completed path of k >= 0 hops.
-  auto emit = [=](const ExpandState& state, std::vector<Embedding>* out) {
-    if (end_bound && state.base->IdAt(bound_end_column) != state.end) return;
-    std::vector<uint64_t> via = state.Via();
-    if (reverse) std::reverse(via.begin(), via.end());
-    Embedding result = *state.base;
-    result.AppendPath(via);
-    if (!end_bound) result.AppendId(state.end);
-    if (!SatisfiesMorphism(result, result_meta, semantics)) return;
-    if (!PassesResidual(residual, result_meta, result)) return;
-    out->push_back(std::move(result));
-  };
-
-  // Grows path `s` by the adjacency entry `adj`, enforcing the morphism
-  // constraints on the grown path.
-  auto step = [=](const ExpandState& s,
-                  const epgm::AdjacencyIndex::Neighbor& adj,
-                  std::vector<ExpandState>* out) {
-    const uint64_t new_end = adj.other;
-    if (edge_iso) {
-      // The new edge must not repeat within the path nor collide with
-      // edges already bound in the base embedding.
-      for (const ExpandState* p = &s; p->hops > 0; p = p->prev) {
-        if (p->edge == adj.edge_id) return;
-      }
-      if (s.base->ContainsIdAt(adj.edge_id, base_edge_columns)) return;
-      if (s.base->PathContains(adj.edge_id, base_path_columns, true)) return;
-    }
-    if (vertex_iso) {
-      // Path-local distinctness: the new end must not revisit an interior
-      // vertex, and must not return to the path's start — unless it is the
-      // bound end binding (cycle queries where the path's endpoints are the
-      // same query variable). Distinctness of the end against other vertex
-      // *columns* is enforced at emission by SatisfiesMorphism; path
-      // interiors are free, as they bind no query variable.
-      if (new_end == s.end) return;  // data self-loop revisits the end
-      for (const ExpandState* p = s.prev; p != nullptr && p->hops > 0;
-           p = p->prev) {
-        if (p->end == new_end) return;
-      }
-      const bool is_bound_end =
-          end_bound && s.base->IdAt(bound_end_column) == new_end;
-      if (!is_bound_end && new_end == s.base->IdAt(start_column)) return;
-    }
-    out->push_back({s.base, &s, adj.edge_id, new_end, s.hops + 1});
-  };
-
-  // Initial frontier: every input embedding positioned at its start
-  // binding with an empty path.
-  dfl::Dataset<ExpandState> frontier = input.data.Map(
-      [start_column](const Embedding& e) {
-        return ExpandState{&e, nullptr, 0, e.IdAt(start_column), 0};
-      },
-      "ExpandInit");
-
-  // Every hop's emissions append to one result: per partition, hop k's
-  // rows follow hop k-1's, the order a Union fold would produce.
-  auto results = std::make_shared<dfl::Dataset<Embedding>::Partitions>(
-      input.data.num_partitions());
-  std::vector<dfl::Dataset<ExpandState>> paths;
-
-  if (lower_bound == 0) {
-    frontier.FlatMapInto<Embedding>(
-        [emit](const ExpandState& s, std::vector<Embedding>* out) {
-          emit(s, out);
-        },
-        results.get(), "ExpandEmitZero");
-  }
-
+  const ExpandSpec spec(input.meta, adjacency, start_column, bound_end_column,
+                        result_meta, lower_bound, upper_bound, semantics,
+                        residual);
+  const int p = input.data.num_partitions();
+  auto results = std::make_shared<dfl::Dataset<Embedding>::Partitions>(p);
+  std::vector<RowPathWriter> writers;
+  writers.reserve(p);
+  for (int t = 0; t < p; ++t) writers.emplace_back(spec, &(*results)[t]);
   common::CancellationToken& cancel = input.data.context()->cancellation();
-  for (int k = 1; k <= upper_bound; ++k) {
-    // Each hop runs a full exchange and walk stage, so one boundary check
-    // per hop bounds the loop's cancel latency to one stage.
-    if (cancel.CancelledOrExpired()) break;
-    uint64_t frontier_size = 0;
-    // cancellation: O(partitions) size walk, no per-record work.
-    for (int p = 0; p < frontier.num_partitions(); ++p) {
-      frontier_size += frontier.partition(p).size();
-    }
-    if (frontier_size == 0) break;  // no more valid paths
-
-    frontier = ExpandHop(frontier, adjacency, step, &paths);
-
-    if (k >= lower_bound) {
-      frontier.FlatMapInto<Embedding>(
-          [emit](const ExpandState& s, std::vector<Embedding>* out) {
-            emit(s, out);
-          },
-          results.get(), "ExpandEmit");
-    }
-  }
+  RunExpand<Embedding>(
+      *input.data.context(), spec,
+      [&](int t, const auto& visit) {
+        const std::vector<Embedding>& src = input.data.partition(t);
+        for (const Embedding& e : src) {
+          if (cancel.CheckCancelled()) break;
+          visit(e);
+        }
+        return static_cast<uint64_t>(src.size());
+      },
+      &writers);
   return {dfl::Dataset<Embedding>(input.data.context(), std::move(results)),
+          result_meta};
+}
+
+BatchSet ExpandBatches(const BatchSet& input,
+                       const epgm::AdjacencyIndex& adjacency,
+                       int start_column, int bound_end_column,
+                       const EmbeddingMetaData& result_meta, int lower_bound,
+                       int upper_bound, const MorphismSetting& semantics,
+                       const std::vector<cypher::CnfClause>& residual,
+                       int batch_size) {
+  assert(start_column >= 0 && "expansion start must be bound");
+  assert(adjacency.num_partitions() == input.data.num_partitions());
+  assert(batch_size > 0);
+  const ExpandSpec spec(input.meta, adjacency, start_column, bound_end_column,
+                        result_meta, lower_bound, upper_bound, semantics,
+                        residual);
+  const int p = input.data.num_partitions();
+  const std::vector<uint8_t> flags = BatchColumnFlags(result_meta);
+  const int props = result_meta.property_column_count();
+  auto results = std::make_shared<dfl::Dataset<EmbeddingBatch>::Partitions>(p);
+  std::vector<BatchPathWriter> writers;
+  writers.reserve(p);
+  for (int t = 0; t < p; ++t) {
+    writers.emplace_back(spec, flags, props, batch_size, &(*results)[t]);
+  }
+  // Each partition's base rows, addressed in place; frontier records
+  // point into these tables, so each is sized once before it fills.
+  std::vector<std::vector<BatchRow>> bases(p);
+  common::CancellationToken& cancel = input.data.context()->cancellation();
+  RunExpand<BatchRow>(
+      *input.data.context(), spec,
+      [&](int t, const auto& visit) {
+        const std::vector<EmbeddingBatch>& src = input.data.partition(t);
+        uint64_t rows = 0;
+        // cancellation: O(batches) size prepass; the loop below polls.
+        for (const EmbeddingBatch& b : src) rows += b.ActiveRows();
+        std::vector<BatchRow>& table = bases[t];
+        table.reserve(rows);
+        for (const EmbeddingBatch& b : src) {
+          const uint32_t active = b.ActiveRows();
+          for (uint32_t i = 0; i < active; ++i) {
+            if (cancel.CheckCancelled()) return rows;
+            const uint32_t row = b.ActiveRow(i);
+            const BatchRow& base =
+                table.emplace_back(BatchRow{&b, row, b.RowSerializedSize(row)});
+            assert(base.bytes == b.RowAt(row).SerializedSize());
+            visit(base);
+          }
+        }
+        return rows;
+      },
+      &writers);
+  return {dfl::Dataset<EmbeddingBatch>(input.data.context(),
+                                       std::move(results)),
           result_meta};
 }
 

@@ -119,11 +119,13 @@ EmbeddingSet ValueJoinEmbeddings(const EmbeddingSet& left,
 // `lower_bound`. Terminates at `upper_bound` or when no valid path
 // remains.
 //
-// Each hop exchanges the frontier on its end vertex and walks
-// `adjacency` locally in every partition — the edge set is never
-// re-shuffled or re-hashed. The cost model is charged as for the paper's
-// per-hop join of the frontier with the edge set (docs/INTERNALS.md,
-// "ExpandEmbeddings").
+// Each hop is one pass per partition: it reads the frontier records
+// routed to the partition owning their end vertex, walks `adjacency`
+// locally — the edge set is never re-shuffled or re-hashed — writes the
+// paths the hop finishes and routes the grown records to the next hop.
+// The cost model is charged as for the paper's per-hop join of the
+// frontier with the edge set (docs/INTERNALS.md, "ExpandEmbeddings").
+// ExpandBatches (batch_operators.h) runs the same hop loop.
 //
 // An adjacency keyed by target id (`adjacency.reverse()`) expands against
 // edge direction (used when the plan binds the path's target first). A

@@ -9,7 +9,15 @@
 //     SatisfiesMorphism check keeps, under every MorphismSetting, with
 //     shared variables and with PATH columns;
 //   - RowsToBatches followed by BatchesToRows must give back the input
-//     rows byte for byte, selection vectors included.
+//     rows byte for byte, selection vectors included, and
+//     RowSerializedSize must price each row as RowAt would build it;
+//   - the value-join key must read the bytes the decoded path built;
+//   - the batch-native ExpandBatches must emit what the row round trip
+//     RowsToBatches(ExpandEmbeddings(BatchesToRows(input))) emits — the
+//     same rows, per-partition order and batch boundaries — and charge
+//     the same stages minus the two conversions; the per-partition order
+//     itself is pinned, and a cancel injected mid-hop must unwind with a
+//     drained accountant.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +31,8 @@
 #include <vector>
 
 #include "dataflow/execution_context.h"
+#include "epgm/adjacency_index.h"
+#include "epgm/elements.h"
 #include "query/batch_operators.h"
 #include "query/embedding_meta_data.h"
 #include "query/operators.h"
@@ -528,6 +538,509 @@ TEST(BatchKernelsTest, RowsToBatchesToRowsRoundTripsBytes) {
       }
     }
   }
+}
+
+TEST(BatchKernelsTest, RowSerializedSizeEqualsTheBuiltRowsSize) {
+  const auto ctx = OneWorker();
+  EmbeddingMetaData meta;
+  meta.AddIdColumn("a", EntryType::kVertex);
+  meta.AddIdColumn("p", EntryType::kPath);
+  meta.AddIdColumn("b", EntryType::kVertex);
+  meta.AddPropertyColumn("a", "name");
+  meta.AddPropertyColumn("b", "age");
+  std::vector<Embedding> rows(40);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    rows[i].AppendId(i);
+    rows[i].AppendPath(std::vector<uint64_t>(i % 5, i));
+    rows[i].AppendId(i + 1);
+    rows[i].AppendProperty(i % 3 == 0 ? epgm::PropertyValue::Null()
+                           : i % 3 == 1
+                               ? epgm::PropertyValue(std::string())
+                               : epgm::PropertyValue("name " +
+                                                     std::to_string(i)));
+    rows[i].AppendProperty(i % 2 == 0 ? epgm::PropertyValue::Null()
+                                      : epgm::PropertyValue(int64_t{7}));
+  }
+  for (const int batch_size : {1, 7, 1024}) {
+    const BatchSet batches = ToBatches(ctx, rows, meta, batch_size);
+    for (const EmbeddingBatch& b : batches.data.partition(0)) {
+      // A selection keeps the column store, so every row stays priced.
+      std::vector<uint32_t> odd;
+      for (uint32_t r = 1; r < b.num_rows(); r += 2) odd.push_back(r);
+      for (const EmbeddingBatch& view : {b, b.WithSelection(odd)}) {
+        for (uint32_t i = 0; i < view.ActiveRows(); ++i) {
+          const uint32_t row = view.ActiveRow(i);
+          EXPECT_EQ(view.RowSerializedSize(row),
+                    view.RowAt(row).SerializedSize())
+              << "batch_size=" << batch_size << " row " << row;
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchKernelsTest, ValueJoinKeyReadsTheDecodedKeyBytes) {
+  const std::vector<epgm::PropertyValue> values = {
+      epgm::PropertyValue(true),
+      epgm::PropertyValue(false),
+      epgm::PropertyValue(int64_t{2}),
+      epgm::PropertyValue(2.0),
+      epgm::PropertyValue(int64_t{-7}),
+      epgm::PropertyValue(-0.0),
+      epgm::PropertyValue(0.0),
+      epgm::PropertyValue(int64_t{0}),
+      epgm::PropertyValue(std::string()),
+      epgm::PropertyValue("Alice"),
+      epgm::PropertyValue(std::vector<uint64_t>{3, 5}),
+  };
+  // One row per value; the second key column repeats the first shifted
+  // by one row, so multi-column keys concatenate mixed types.
+  EmbeddingBatch batch({Embedding::kIdFlag}, 2);
+  for (size_t i = 0; i < values.size(); ++i) {
+    batch.PushId(0, i);
+    batch.PushProperty(values[i]);
+    batch.PushProperty(values[(i + 1) % values.size()]);
+    batch.CommitRow();
+  }
+  // The decoded path: each key property decoded, numerics re-encoded as
+  // the double they equal.
+  const auto decoded_key = [](const epgm::PropertyValue& v,
+                              std::string* key) {
+    if (v.is_numeric()) {
+      epgm::PropertyValue(v.AsDouble()).EncodeTo(key);
+    } else {
+      v.EncodeTo(key);
+    }
+  };
+  for (const std::vector<int>& columns :
+       {std::vector<int>{0}, std::vector<int>{1, 0}}) {
+    for (uint32_t row = 0; row < batch.num_rows(); ++row) {
+      std::string expected;
+      for (const int c : columns) decoded_key(batch.PropertyAt(c, row), &expected);
+      std::string actual;
+      AppendValueKey(batch, row, columns, &actual);
+      EXPECT_EQ(actual, expected) << "row " << row;
+      // Placement hashes the key bytes, so it follows.
+      EXPECT_EQ(std::hash<std::string>()(actual),
+                std::hash<std::string>()(expected));
+    }
+  }
+  // 2 joins 2.0; -0.0 keeps its own bits, as the decoded path did.
+  std::string two_int, two_double;
+  AppendValueKey(batch, 2, {0}, &two_int);
+  AppendValueKey(batch, 3, {0}, &two_double);
+  EXPECT_EQ(two_int, two_double);
+  std::string negative_zero, zero;
+  AppendValueKey(batch, 5, {0}, &negative_zero);
+  AppendValueKey(batch, 6, {0}, &zero);
+  EXPECT_NE(negative_zero, zero);
+}
+
+// --- Expand ------------------------------------------------------------
+
+dataflow::ExecutionContextPtr FourWorkers() {
+  dataflow::ClusterConfig config;
+  config.num_workers = 4;
+  return dataflow::MakeContext(config);
+}
+
+// Random multigraph over vertices 1..num_vertices: self-loops, parallel
+// edges and short cycles all occur.
+dataflow::Dataset<epgm::Edge> RandomEdges(
+    const dataflow::ExecutionContextPtr& ctx, uint32_t seed,
+    uint64_t num_vertices, uint64_t num_edges) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<uint64_t> vertex(1, num_vertices);
+  std::vector<epgm::Edge> edges;
+  for (uint64_t i = 0; i < num_edges; ++i) {
+    edges.emplace_back(1000 + i, "knows", vertex(rng), vertex(rng));
+  }
+  return dataflow::Dataset<epgm::Edge>::FromVector(ctx, std::move(edges));
+}
+
+// Every partition's batches, each as its active rows.
+std::vector<std::vector<std::vector<Embedding>>> PartitionBatches(
+    const BatchSet& set) {
+  std::vector<std::vector<std::vector<Embedding>>> out;
+  for (int p = 0; p < set.data.num_partitions(); ++p) {
+    out.emplace_back();
+    for (const EmbeddingBatch& b : set.data.partition(p)) {
+      std::vector<Embedding> rows;
+      for (uint32_t i = 0; i < b.ActiveRows(); ++i) {
+        rows.push_back(b.RowAt(b.ActiveRow(i)));
+      }
+      out.back().push_back(std::move(rows));
+    }
+  }
+  return out;
+}
+
+// The tracker's stages since `from`, without the row/batch conversions.
+std::vector<dataflow::StageCost> StagesSince(
+    const dataflow::ExecutionContext& ctx, size_t from) {
+  std::vector<dataflow::StageCost> out;
+  const std::vector<dataflow::StageCost> all = ctx.tracker().Stages();
+  for (size_t i = from; i < all.size(); ++i) {
+    if (all[i].label == "BatchesToRows" || all[i].label == "RowsToBatches") {
+      continue;
+    }
+    out.push_back(all[i]);
+  }
+  return out;
+}
+
+struct ExpandCase {
+  std::string name;
+  std::vector<Embedding> rows;
+  EmbeddingMetaData meta;
+  std::string start;
+  std::string end;  // bound when `meta` already holds it
+  int lower = 1;
+  int upper = 3;
+  std::vector<cypher::CnfClause> residual;
+};
+
+// Runs `c` through ExpandBatches and through the row round trip at every
+// batch size, under every morphism setting, in both directions, over
+// input batches whose every third row is deselected; asserts identical
+// partitions, batches and rows, identical stages and a drained
+// accountant. Adds the rows emitted over all runs to *emitted.
+void ExpectExpandMatchesRoundTrip(const dataflow::ExecutionContextPtr& ctx,
+                                  const dataflow::Dataset<epgm::Edge>& edges,
+                                  const ExpandCase& c, size_t* emitted) {
+  const MorphismSetting settings[] = {
+      MorphismSetting::Neo4j(), MorphismSetting::FullIsomorphism(),
+      MorphismSetting::FullHomomorphism(),
+      {MatchSemantics::kIsomorphism, MatchSemantics::kHomomorphism}};
+  const int start_column = c.meta.IdColumn(c.start);
+  const int bound_end_column = c.meta.IdColumn(c.end);
+  EmbeddingMetaData result_meta = c.meta;
+  result_meta.AddIdColumn("path_" + c.start, EntryType::kPath);
+  if (bound_end_column < 0) result_meta.AddIdColumn(c.end, EntryType::kVertex);
+  ctx->accountant().Enable();
+  for (const bool reverse : {false, true}) {
+    const epgm::AdjacencyIndex adjacency =
+        epgm::AdjacencyIndex::Build(edges, reverse);
+    for (const MorphismSetting& semantics : settings) {
+      // Every operator emits rows that satisfy the morphism on their own
+      // columns; so must the input here.
+      std::vector<Embedding> rows;
+      for (const Embedding& row : c.rows) {
+        if (SatisfiesMorphism(row, c.meta, semantics)) rows.push_back(row);
+      }
+      for (const int batch_size : {1, 7, 1024}) {
+        const BatchSet full = RowsToBatches(
+            {dataflow::Dataset<Embedding>::FromVector(ctx, rows), c.meta},
+            batch_size);
+        const BatchSet input{full.data.Map([](const EmbeddingBatch& b) {
+                               std::vector<uint32_t> selection;
+                               for (uint32_t r = 0; r < b.num_rows(); ++r) {
+                                 if (r % 3 != 1) selection.push_back(r);
+                               }
+                               return b.WithSelection(std::move(selection));
+                             }),
+                             c.meta};
+        const std::string what =
+            c.name + " reverse=" + std::to_string(reverse) +
+            " batch_size=" + std::to_string(batch_size) + " semantics=" +
+            std::to_string(static_cast<int>(semantics.vertex)) +
+            std::to_string(static_cast<int>(semantics.edge));
+        size_t mark = ctx->tracker().Stages().size();
+        const BatchSet expected = RowsToBatches(
+            ExpandEmbeddings(BatchesToRows(input), adjacency, start_column,
+                             bound_end_column, result_meta, c.lower, c.upper,
+                             semantics, c.residual),
+            batch_size);
+        const std::vector<dataflow::StageCost> expected_stages =
+            StagesSince(*ctx, mark);
+        mark = ctx->tracker().Stages().size();
+        const BatchSet actual = ExpandBatches(
+            input, adjacency, start_column, bound_end_column, result_meta,
+            c.lower, c.upper, semantics, c.residual, batch_size);
+        const std::vector<dataflow::StageCost> actual_stages =
+            StagesSince(*ctx, mark);
+        EXPECT_EQ(ctx->accountant().current_bytes(), 0u) << what;
+
+        const auto want = PartitionBatches(expected);
+        const auto got = PartitionBatches(actual);
+        ASSERT_EQ(got.size(), want.size()) << what;
+        for (size_t p = 0; p < want.size(); ++p) {
+          ExpectSameBatches(got[p], want[p],
+                            what + " partition " + std::to_string(p));
+          for (size_t b = 0; b < want[p].size(); ++b) {
+            // Pools and cell directories too, not only the rows they
+            // rebuild.
+            EXPECT_EQ(actual.data.partition(p)[b].SerializedSize(),
+                      expected.data.partition(p)[b].SerializedSize())
+                << what;
+            *emitted += want[p][b].size();
+          }
+        }
+        ASSERT_EQ(actual_stages.size(), expected_stages.size()) << what;
+        for (size_t i = 0; i < expected_stages.size(); ++i) {
+          const dataflow::StageCost& a = actual_stages[i];
+          const dataflow::StageCost& e = expected_stages[i];
+          EXPECT_EQ(a.label, e.label) << what << " stage " << i;
+          EXPECT_EQ(a.compute_sec, e.compute_sec) << what << " " << e.label;
+          EXPECT_EQ(a.network_sec, e.network_sec) << what << " " << e.label;
+          EXPECT_EQ(a.spill_sec, e.spill_sec) << what << " " << e.label;
+          EXPECT_EQ(a.latency_sec, e.latency_sec) << what << " " << e.label;
+        }
+      }
+    }
+  }
+  ctx->accountant().Disable();
+}
+
+// Rows of vertex ids drawn from 1..num_vertices for the id columns of
+// `meta` (edge columns from the edge id range), with string, empty,
+// integer and NULL property cells.
+std::vector<Embedding> ExpandInputRows(const EmbeddingMetaData& meta,
+                                       size_t count, uint32_t seed,
+                                       uint64_t num_vertices) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<uint64_t> vertex(1, num_vertices);
+  std::uniform_int_distribution<uint64_t> edge(1000, 1060);
+  const std::vector<int> edge_columns = meta.EdgeColumns();
+  std::vector<Embedding> rows(count);
+  for (size_t i = 0; i < count; ++i) {
+    for (int c = 0; c < meta.id_column_count(); ++c) {
+      const bool is_edge = std::find(edge_columns.begin(), edge_columns.end(),
+                                     c) != edge_columns.end();
+      rows[i].AppendId(is_edge ? edge(rng) : vertex(rng));
+    }
+    for (int c = 0; c < meta.property_column_count(); ++c) {
+      switch ((i + c) % 4) {
+        case 0:
+          rows[i].AppendProperty(epgm::PropertyValue(std::string()));
+          break;
+        case 1:
+          rows[i].AppendProperty(epgm::PropertyValue::Null());
+          break;
+        case 2:
+          rows[i].AppendProperty(epgm::PropertyValue(int64_t(i % 3)));
+          break;
+        default:
+          rows[i].AppendProperty(
+              epgm::PropertyValue("v" + std::to_string(i % 3)));
+      }
+    }
+  }
+  return rows;
+}
+
+TEST(BatchKernelsTest, ExpandMatchesTheRowRoundTrip) {
+  const auto ctx = FourWorkers();
+  const auto edges = RandomEdges(ctx, 7, 24, 60);
+
+  // A fresh end over a base with a vertex, an edge and properties.
+  EmbeddingMetaData wide;
+  wide.AddIdColumn("a", EntryType::kVertex);
+  wide.AddIdColumn("e", EntryType::kEdge);
+  wide.AddIdColumn("x", EntryType::kVertex);
+  wide.AddPropertyColumn("a", "name");
+  wide.AddPropertyColumn("x", "age");
+  const std::vector<Embedding> wide_rows = ExpandInputRows(wide, 30, 11, 24);
+  size_t emitted = 0;
+  for (const int lower : {0, 1, 2}) {
+    ExpectExpandMatchesRoundTrip(
+        ctx, edges,
+        {"fresh end, lower " + std::to_string(lower), wide_rows, wide, "a",
+         "b", lower, 3, {}}, &emitted);
+  }
+
+  // A bound end closes cycles: the path must return to b (some rows bind
+  // a == b); the residual reads the path end's property.
+  EmbeddingMetaData cycle;
+  cycle.AddIdColumn("a", EntryType::kVertex);
+  cycle.AddIdColumn("b", EntryType::kVertex);
+  cycle.AddPropertyColumn("b", "name");
+  std::vector<Embedding> cycle_rows = ExpandInputRows(cycle, 40, 13, 24);
+  for (size_t i = 0; i < cycle_rows.size(); i += 4) {
+    Embedding same;
+    same.AppendId(cycle_rows[i].IdAt(0));
+    same.AppendId(cycle_rows[i].IdAt(0));
+    same.AppendProperty(cycle_rows[i].PropertyAt(0));
+    cycle_rows[i] = same;
+  }
+  cypher::CnfClause end_not_v1;
+  end_not_v1.atoms.push_back(cypher::Expression::Comparison(
+      cypher::ComparisonOp::kNeq,
+      cypher::Expression::PropertyAccess("b", "name"),
+      cypher::Expression::Literal(epgm::PropertyValue("v1"))));
+  for (const int lower : {0, 1}) {
+    ExpectExpandMatchesRoundTrip(
+        ctx, edges,
+        {"bound end, lower " + std::to_string(lower), cycle_rows, cycle, "a",
+         "b", lower, 4, {}}, &emitted);
+    ExpectExpandMatchesRoundTrip(
+        ctx, edges,
+        {"bound end with residual, lower " + std::to_string(lower),
+         cycle_rows, cycle, "a", "b", lower, 4, {end_not_v1}}, &emitted);
+  }
+
+  // A base that already holds a PATH column:
+  // (a)-[*1..3]->(b)-[*0..2]->(c).
+  EmbeddingMetaData single;
+  single.AddIdColumn("a", EntryType::kVertex);
+  single.AddPropertyColumn("a", "name");
+  const std::vector<Embedding> single_rows =
+      ExpandInputRows(single, 12, 17, 24);
+  EmbeddingMetaData first_meta = single;
+  first_meta.AddIdColumn("path_a", EntryType::kPath);
+  first_meta.AddIdColumn("b", EntryType::kVertex);
+  const std::vector<Embedding> first =
+      ExpandEmbeddings(
+          {dataflow::Dataset<Embedding>::FromVector(ctx, single_rows), single},
+          epgm::AdjacencyIndex::Build(edges, false), 0, -1, first_meta, 1, 3,
+          MorphismSetting::Neo4j())
+          .data.Collect();
+  ASSERT_FALSE(first.empty());
+  ExpectExpandMatchesRoundTrip(
+      ctx, edges, {"path base", first, first_meta, "b", "c", 0, 2, {}}, &emitted);
+  EXPECT_GT(emitted, 0u);
+}
+
+TEST(BatchKernelsTest, ExpandMatchesTheRowRoundTripOnEdgeCases) {
+  const auto ctx = FourWorkers();
+  EmbeddingMetaData meta;
+  meta.AddIdColumn("a", EntryType::kVertex);
+  meta.AddPropertyColumn("a", "name");
+
+  // An empty input emits nothing, at any bound.
+  const auto edges = RandomEdges(ctx, 3, 10, 30);
+  size_t emitted = 0;
+  for (const int lower : {0, 1}) {
+    ExpectExpandMatchesRoundTrip(
+        ctx, edges, {"empty input", {}, meta, "a", "b", lower, 3, {}},
+        &emitted);
+  }
+  EXPECT_EQ(emitted, 0u);
+
+  // A chain 1 -> 2 -> ... -> 6: the frontier dies after five hops, long
+  // before the upper bound.
+  std::vector<epgm::Edge> chain;
+  for (uint64_t v = 1; v < 6; ++v) chain.emplace_back(500 + v, "knows", v, v + 1);
+  const auto chain_edges =
+      dataflow::Dataset<epgm::Edge>::FromVector(ctx, std::move(chain));
+  const std::vector<Embedding> rows = ExpandInputRows(meta, 10, 5, 6);
+  ExpectExpandMatchesRoundTrip(
+      ctx, chain_edges, {"dying frontier", rows, meta, "a", "b", 1, 10, {}},
+      &emitted);
+  EXPECT_GT(emitted, 0u);
+}
+
+// FNV-1a over the encoded rows of every ExpandEmbeddings partition, in
+// order, across directions, lower bounds and morphism settings.
+uint64_t ExpandOrderDigest() {
+  dataflow::ClusterConfig config;
+  config.num_workers = 4;
+  const auto ctx = dataflow::MakeContext(config);
+  std::mt19937 rng(99);
+  std::uniform_int_distribution<uint64_t> vertex(1, 20);
+  std::vector<epgm::Edge> edge_list;
+  for (uint64_t i = 0; i < 50; ++i) {
+    edge_list.emplace_back(1000 + i, "knows", vertex(rng), vertex(rng));
+  }
+  const auto edges =
+      dataflow::Dataset<epgm::Edge>::FromVector(ctx, std::move(edge_list));
+  EmbeddingMetaData meta;
+  meta.AddIdColumn("a", EntryType::kVertex);
+  meta.AddIdColumn("e", EntryType::kEdge);
+  meta.AddIdColumn("x", EntryType::kVertex);
+  meta.AddPropertyColumn("a", "name");
+  uint64_t digest = 14695981039346656037ull;
+  const auto mix = [&digest](const std::string& bytes) {
+    for (const char ch : bytes) {
+      digest = (digest ^ static_cast<unsigned char>(ch)) * 1099511628211ull;
+    }
+  };
+  for (const MorphismSetting& semantics :
+       {MorphismSetting::Neo4j(), MorphismSetting::FullIsomorphism()}) {
+    std::vector<Embedding> rows;
+    for (uint64_t i = 0; i < 24; ++i) {
+      Embedding row;
+      row.AppendId(vertex(rng));
+      row.AppendId(1000 + i * 2);
+      row.AppendId(vertex(rng));
+      row.AppendProperty(epgm::PropertyValue("n" + std::to_string(i)));
+      if (SatisfiesMorphism(row, meta, semantics)) rows.push_back(row);
+    }
+    const EmbeddingSet input{
+        dataflow::Dataset<Embedding>::FromVector(ctx, std::move(rows)), meta};
+    EmbeddingMetaData result_meta = meta;
+    result_meta.AddIdColumn("p", EntryType::kPath);
+    result_meta.AddIdColumn("b", EntryType::kVertex);
+    for (const bool reverse : {false, true}) {
+      const epgm::AdjacencyIndex adjacency =
+          epgm::AdjacencyIndex::Build(edges, reverse);
+      for (const int lower : {0, 1}) {
+        const EmbeddingSet out =
+            ExpandEmbeddings(input, adjacency, 0, -1, result_meta, lower, 3,
+                             semantics);
+        for (int p = 0; p < out.data.num_partitions(); ++p) {
+          mix("partition " + std::to_string(p));
+          for (const Embedding& e : out.data.partition(p)) {
+            std::string encoded;
+            e.EncodeTo(&encoded);
+            mix(encoded);
+          }
+        }
+      }
+    }
+  }
+  return digest;
+}
+
+// The differential tests above compare the engines with each other; this
+// pins the order itself. Every partition's rows must come out in the
+// order of the paper's per-hop join: the frontier delivered to each
+// partition source by source, each key's adjacency newest first, and hop
+// k's rows after hop k-1's. The digest was taken on a hop loop that
+// exchanged each frontier with Dataset::RepartitionByKey.
+TEST(BatchKernelsTest, ExpandKeepsThePerPartitionOrderOfThePerHopJoin) {
+  EXPECT_EQ(ExpandOrderDigest(), 0x6dc1a5d549d43c4full);
+}
+
+TEST(BatchKernelsTest, ExpandCancelledMidHopDrainsTheAccountant) {
+  const auto ctx = FourWorkers();
+  const auto edges = RandomEdges(ctx, 21, 30, 120);
+  const epgm::AdjacencyIndex adjacency =
+      epgm::AdjacencyIndex::Build(edges, false);
+  EmbeddingMetaData meta;
+  meta.AddIdColumn("a", EntryType::kVertex);
+  EmbeddingMetaData result_meta = meta;
+  result_meta.AddIdColumn("p", EntryType::kPath);
+  result_meta.AddIdColumn("b", EntryType::kVertex);
+  const BatchSet input = RowsToBatches(
+      {dataflow::Dataset<Embedding>::FromVector(
+           ctx, ExpandInputRows(meta, 40, 23, 30)),
+       meta},
+      7);
+  common::CancellationToken& token = ctx->cancellation();
+  const auto run = [&] {
+    return ExpandBatches(input, adjacency, 0, -1, result_meta, 1, 4,
+                         MorphismSetting::FullHomomorphism(), {}, 7);
+  };
+  ctx->accountant().Enable();
+  // Count the polls of a full run: the injection points below land in
+  // its init pass, early hops and the last hop.
+  token.InjectCancelAfter(UINT64_MAX);
+  run();
+  const uint64_t polls = token.polls();
+  token.Reset();
+  ASSERT_GT(polls, 40u);
+  for (const uint64_t at : {uint64_t{20}, uint64_t{60}, polls / 3,
+                            polls / 2, polls - 1}) {
+    token.InjectCancelAfter(at);
+    const BatchSet partial = run();
+    EXPECT_TRUE(token.cancelled()) << "trip at poll " << at;
+    EXPECT_EQ(ctx->accountant().current_bytes(), 0u) << "trip at poll " << at;
+    EXPECT_EQ(ctx->pool().pending_tasks(), 0) << "trip at poll " << at;
+    EXPECT_LE(partial.data.num_partitions(), 4);
+    token.Reset();
+  }
+  ctx->accountant().Disable();
 }
 
 }  // namespace
