@@ -1,10 +1,15 @@
 // What each opt-in instrument costs, so every one can be shown to stay
 // off the measured path. Two tables drive it:
 //
-//   query toggles, median LDBC Q1 wall ms at MiniSf10() and 4 workers:
+//   query toggles, median wall ms at MiniSf10() and 4 workers (LDBC Q1
+//   on the row engine unless noted):
 //     telemetry          off | on  (+ spans, flight-recorder entries,
 //                                     bytes and evictions)
 //     memory_accounting  off | on  (+ accountant peak_bytes)
+//     root_finish        execute | count  (LDBC Q6 on the batch engine:
+//                                          Execute and counting its rows,
+//                                          or Count, which counts the
+//                                          root batches in place)
 //   micro-loops, median ns per call:
 //     cancellation  raw_load | disabled | armed  (CheckCancelled)
 //     lock_rank     raw | ranked | checker       (common::Mutex)
@@ -34,10 +39,12 @@
 // wall_ms is the median run (toggles) or median round's loop of
 // `records` calls (micro-loops, plus ns_per_op).
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <mutex>  // raw-baseline only; engine code must use common::Mutex
@@ -70,12 +77,16 @@ constexpr int kWorkers = 4;
 // Keeps micro-loop bodies from being optimized away, at no measurable cost.
 volatile uint64_t g_sink = 0;
 
-// An instrument switched per query: `set` flips it before every run,
+// A per-query switch between two modes, `modes[0]` (off) and `modes[1]`
+// (on): `set` flips it before every run, `run` runs `query` once, and
 // `observe` folds the finished run's figures into its mode's record.
 struct QueryToggle {
   const char* overhead;
+  std::array<const char*, 2> modes;
+  const std::string& query;
   bool default_on;  // restored once the rounds are done
   std::function<void(bool on)> set;
+  std::function<RunResult(bool on)> run;
   std::function<void(Figures*)> observe;
 };
 
@@ -192,20 +203,56 @@ int main() {
   gradoop::bench::BenchHarness harness;
   const std::string query = gradoop::ldbc::Query1(
       harness.FirstName(sf, gradoop::ldbc::Selectivity::kMedium));
+  const std::string q6 = gradoop::ldbc::Query6();
   gradoop::query::CypherEngine& engine = harness.Engine(sf, kWorkers);
   auto ctx = engine.graph().context();
+  const auto run_q1 = [&](bool) { return harness.Run(sf, kWorkers, query); };
+  // Q6 on the batch engine, finished as Execute and counting its rows
+  // (what Count did before it counted the batch root in place) or as
+  // Count. Both charge the tracker the same.
+  const auto finish_q6 = [&](bool count) {
+    engine.planner_options().engine =
+        gradoop::query::PlannerOptions::ExecutionEngine::kBatch;
+    ctx->tracker().Reset();
+    gradoop::Timer timer;
+    RunResult result;
+    gradoop::Status status;
+    if (count) {
+      auto counted = engine.Count(q6);
+      status = counted.status();
+      if (counted.ok()) result.matches = counted.value();
+    } else {
+      auto executed = engine.Execute(q6);
+      status = executed.status();
+      if (executed.ok()) {
+        result.matches = executed.value().embeddings.data.Count();
+      }
+    }
+    result.wall_sec = timer.ElapsedSeconds();
+    engine.planner_options().engine =
+        gradoop::query::PlannerOptions::ExecutionEngine::kRow;
+    if (!status.ok()) {
+      std::fprintf(stderr, "query failed: %s\n", status.ToString().c_str());
+      std::exit(1);
+    }
+    result.simulated_sec = ctx->tracker().SimulatedSeconds();
+    result.network_bytes = ctx->tracker().NetworkBytes();
+    result.records = ctx->tracker().TotalRecords();
+    return result;
+  };
   reporter.set_cluster({.num_workers = kWorkers});
 
-  std::printf("overheads, LDBC Q1 at sf %.2f, %d workers, %d rounds + %d "
+  std::printf("overheads, LDBC at sf %.2f, %d workers, %d rounds + %d "
               "warm-up\n%-18s %-9s %10s %-5s %8s\n", sf, kWorkers, kRounds,
               kWarmupRounds, "overhead", "mode", "median", "", "ratio");
 
   const QueryToggle toggles[] = {
-      {"telemetry", false,
+      {"telemetry", {"off", "on"}, query, false,
        [&](bool on) {
          on ? ctx->EnableTelemetry() : ctx->DisableTelemetry();
          ctx->telemetry().ResetData();
        },
+       run_q1,
        // Spans are this run's (set() resets them); the recorder persists,
        // so its change across a run is what that run's mode added.
        [&, seen = Figures{}](Figures* figures) mutable {
@@ -219,18 +266,20 @@ int main() {
          }
          seen = now;
        }},
-      {"memory_accounting", true,
-       [&](bool on) { engine.set_account_memory(on); },
+      {"memory_accounting", {"off", "on"}, query, true,
+       [&](bool on) { engine.set_account_memory(on); }, run_q1,
        [&](Figures* figures) {
          (*figures)["peak_bytes"] = ctx->accountant().peak_bytes();
        }},
+      {"root_finish", {"execute", "count"}, q6, false, [](bool) {},
+       finish_q6, [](Figures*) {}},
   };
   for (const QueryToggle& toggle : toggles) {
     Figures figures[2];
     RunResult last[2];
     const std::vector<double> medians = InterleavedMedians(2, [&](size_t on) {
       toggle.set(on == 1);
-      last[on] = harness.Run(sf, kWorkers, query);
+      last[on] = toggle.run(on == 1);
       toggle.observe(&figures[on]);
       return last[on].wall_sec * 1e3;
     });
@@ -238,13 +287,13 @@ int main() {
     for (size_t on = 0; on < 2; ++on) {
       Params params = {{"sf", Fixed(sf, 2)},
                        {"workers", std::to_string(kWorkers)},
-                       {"query", query}};
+                       {"query", toggle.query}};
       for (const auto& [name, value] : figures[on]) {
         params[name] = std::to_string(value);
       }
       last[on].wall_sec = medians[on] / 1e3;
-      Report(&reporter, toggle.overhead, on == 1 ? "on" : "off", on, medians,
-             "ms", std::move(params), last[on]);
+      Report(&reporter, toggle.overhead, toggle.modes[on], on, medians, "ms",
+             std::move(params), last[on]);
     }
   }
 

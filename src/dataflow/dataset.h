@@ -144,7 +144,7 @@ class Dataset {
       (*parts)[i % p].push_back(std::move(data[i]));
     }
     Dataset ds(std::move(ctx), std::move(parts));
-    ds.ChargeNarrowStage("Source", ds.CountLocal(), ds.CountLocal());
+    ChargeUniformNarrow(*ds.ctx_, "Source", ds.CountLocal(), ds.CountLocal());
     return ds;
   }
 
@@ -163,7 +163,7 @@ class Dataset {
   // job in Flink, and the paper's reported runtimes include the count).
   uint64_t Count() const {
     const uint64_t n = CountLocal();
-    ChargeNarrowStage("Count", n, 0);
+    ChargeUniformNarrow(*ctx_, "Count", n, 0);
     return n;
   }
 
@@ -705,26 +705,6 @@ class Dataset {
     ctx_->pool().RunAndWait(num_partitions(), fn, label);
   }
 
-  // Charges a narrow stage where every worker processed `per worker` share
-  // of `in_records` uniformly (used when per-partition counts are equal or
-  // unknown).
-  void ChargeNarrowStage(const char* label, uint64_t in_records,
-                         uint64_t out_records) const {
-    const auto& cfg = ctx_->config();
-    StageCost cost;
-    cost.label = label;
-    const double per_worker =
-        static_cast<double>(in_records + out_records) / ctx_->num_workers();
-    cost.compute_sec = per_worker * cfg.seconds_per_record;
-    cost.latency_sec = cfg.stage_latency_sec;
-    ctx_->tracker().AddStage(cost);
-    ctx_->tracker().AddRecords(in_records);
-    if (ctx_->telemetry().enabled()) {
-      auto& metrics = ctx_->telemetry().metrics();
-      metrics.AddCounter("stage.count", 1);
-      metrics.AddCounter("stage.records_in", in_records);
-    }
-  }
 
   // Hash-shuffles `src` partitions into `dst` partitions by key, charging
   // network time for records that change workers. Each record is copied

@@ -33,6 +33,24 @@ void ChargeNarrow(ExecutionContext& ctx, const char* label,
   }
 }
 
+void ChargeUniformNarrow(ExecutionContext& ctx, const char* label,
+                         uint64_t in_records, uint64_t out_records) {
+  const auto& cfg = ctx.config();
+  StageCost cost;
+  cost.label = label;
+  const double per_worker =
+      static_cast<double>(in_records + out_records) / ctx.num_workers();
+  cost.compute_sec = per_worker * cfg.seconds_per_record;
+  cost.latency_sec = cfg.stage_latency_sec;
+  ctx.tracker().AddStage(cost);
+  ctx.tracker().AddRecords(in_records);
+  if (ctx.telemetry().enabled()) {
+    auto& metrics = ctx.telemetry().metrics();
+    metrics.AddCounter("stage.count", 1);
+    metrics.AddCounter("stage.records_in", in_records);
+  }
+}
+
 void ExchangeTally::Add(const ExchangeTally& other) {
   for (size_t w = 0; w < other.out_bytes.size(); ++w) {
     out_bytes[w] += other.out_bytes[w];

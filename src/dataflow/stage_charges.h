@@ -12,9 +12,10 @@ namespace gradoop::dataflow {
 // The cost-model, accountant and telemetry charges of a narrow stage and
 // of the two halves of a repartition join: the key-directed exchange and
 // the per-worker build+probe. Dataset's transformations charge through
-// these, and so do DatasetList's multi-input scans and the adjacency-walk
+// these, and so do DatasetList's multi-input scans, the adjacency-walk
 // Expand hop (query/operators.cc), which prices the join it replaces from
-// the same per-worker tallies.
+// the same per-worker tallies, and the batch root's count
+// (query/batch_operators.cc), which prices the conversion it skips.
 
 // Charges the narrow stage `label` from known per-partition record counts:
 // compute = slowest worker over (in + out) records, capturing skew, and
@@ -23,6 +24,14 @@ namespace gradoop::dataflow {
 void ChargeNarrow(ExecutionContext& ctx, const char* label,
                   const std::vector<uint64_t>& in_counts,
                   const std::vector<uint64_t>& out_counts);
+
+// Charges the narrow stage `label` where every worker processed an equal
+// share of `in_records` (used when per-partition counts are unknown or
+// were never materialized, as for a count): compute = (in + out) records
+// over the worker count, and one record per input. With telemetry on,
+// also the stage.count and stage.records_in counters.
+void ChargeUniformNarrow(ExecutionContext& ctx, const char* label,
+                         uint64_t in_records, uint64_t out_records);
 
 // Per-worker tallies of one key-directed exchange.
 struct ExchangeTally {

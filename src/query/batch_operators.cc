@@ -6,12 +6,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 
 #include "common/cancellation.h"
 #include "dataflow/partitioning_audit.h"
+#include "dataflow/stage_charges.h"
 
 namespace gradoop::query {
 
@@ -628,28 +630,69 @@ BatchSet RowsToBatches(const EmbeddingSet& rows, int batch_size) {
   return {std::move(data), rows.meta};
 }
 
+namespace {
+
+// The root conversion's narrow stage: a FlatMap from each partition's
+// batches to its `rows`, charged by BatchesToRows and by CountBatchRows,
+// which skips the conversion but not its charge.
+void ChargeBatchesToRows(const BatchSet& batches,
+                         const std::vector<uint64_t>& rows) {
+  std::vector<uint64_t> in_counts(rows.size(), 0);
+  for (size_t p = 0; p < rows.size(); ++p) {
+    in_counts[p] = batches.data.partition(static_cast<int>(p)).size();
+  }
+  dfl::ChargeNarrow(*batches.data.context(), "BatchesToRows", in_counts,
+                    rows);
+}
+
+}  // namespace
+
 EmbeddingSet BatchesToRows(const BatchSet& batches) {
-  common::CancellationToken& cancel = batches.data.context()->cancellation();
-  // Charged like a FlatMap (MapPartition bills the same in/out counts)
-  // and polled once per batch like one; the partition view lets the
+  dfl::ExecutionContext& ctx = *batches.data.context();
+  common::CancellationToken& cancel = ctx.cancellation();
+  const int p = batches.data.num_partitions();
+  auto out = std::make_shared<dfl::Dataset<Embedding>::Partitions>(p);
+  std::vector<uint64_t> rows(p, 0);
+  // Polled once per batch like a FlatMap; the partition view lets the
   // output vector be sized once.
-  auto data = batches.data.MapPartition<Embedding>(
-      [&cancel](int /*partition*/, const std::vector<EmbeddingBatch>& src,
-                std::vector<Embedding>* out) {
-        size_t rows = 0;
+  ctx.pool().RunAndWait(
+      p,
+      [&](int t) {
+        const std::vector<EmbeddingBatch>& src = batches.data.partition(t);
+        std::vector<Embedding>& dst = (*out)[t];
+        size_t active = 0;
         // cancellation: O(batches) size prepass; the loop below polls.
-        for (const EmbeddingBatch& b : src) rows += b.ActiveRows();
-        out->reserve(rows);
+        for (const EmbeddingBatch& b : src) active += b.ActiveRows();
+        dst.reserve(active);
         for (const EmbeddingBatch& b : src) {
           if (cancel.CheckCancelled()) break;
-          const uint32_t active = b.ActiveRows();
-          for (uint32_t i = 0; i < active; ++i) {
-            out->push_back(b.RowAt(b.ActiveRow(i)));
+          const uint32_t n = b.ActiveRows();
+          for (uint32_t i = 0; i < n; ++i) {
+            dst.push_back(b.RowAt(b.ActiveRow(i)));
           }
         }
+        rows[t] = dst.size();
       },
       "BatchesToRows");
-  return {std::move(data), batches.meta};
+  ChargeBatchesToRows(batches, rows);
+  return {dfl::Dataset<Embedding>(batches.data.context(), std::move(out)),
+          batches.meta};
+}
+
+uint64_t CountBatchRows(const BatchSet& batches) {
+  const int p = batches.data.num_partitions();
+  std::vector<uint64_t> rows(p, 0);
+  uint64_t total = 0;
+  for (int t = 0; t < p; ++t) {
+    // cancellation: O(batches) sum over a materialized root; every kernel
+    // that produced the batches polled.
+    for (const EmbeddingBatch& b : batches.data.partition(t)) {
+      rows[t] += b.ActiveRows();
+    }
+    total += rows[t];
+  }
+  ChargeBatchesToRows(batches, rows);
+  return total;
 }
 
 BatchSet ScanVerticesBatch(const dataflow::DatasetList<epgm::Vertex>& vertices,

@@ -68,6 +68,12 @@ void AppendValueKey(const EmbeddingBatch& b, uint32_t row,
 BatchSet RowsToBatches(const EmbeddingSet& rows, int batch_size);
 EmbeddingSet BatchesToRows(const BatchSet& batches);
 
+// The number of rows BatchesToRows(batches) would produce, summed over
+// the batches' active rows without building one. Charges exactly what
+// the conversion charges, so a count-only caller leaves the cost model
+// where converting and counting the rows would have left it.
+uint64_t CountBatchRows(const BatchSet& batches);
+
 // The vectorized kernels below mirror query/operators.h one-to-one:
 // same compiled layouts, same predicate/morphism semantics, same
 // std::hash-based partition placement (so the partitioning claims and

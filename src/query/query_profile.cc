@@ -39,13 +39,7 @@ telemetry::QueryProfile BuildQueryProfile(
   telemetry::QueryProfile profile;
   profile.name = name;
   profile.query = query;
-  if (result.embeddings.data.valid()) {
-    // Partition sizes are read directly; Count() would charge the
-    // tracker a stage the query never ran.
-    for (int p = 0; p < result.embeddings.data.num_partitions(); ++p) {
-      profile.matches += result.embeddings.data.partition(p).size();
-    }
-  }
+  profile.matches = result.matches;
   profile.total_wall_sec = result.total_wall_sec;
   profile.simulated_sec = ctx.tracker().SimulatedSeconds();
   profile.network_bytes = ctx.tracker().NetworkBytes();

@@ -2,14 +2,17 @@
 // row and batch execution of the same compiled plan must produce
 // byte-identical embeddings, the runtime audits must stay clean under
 // the batch kernels, EXPLAIN must surface the batch size only under
-// --engine=batch, and a non-positive batch size must be rejected before
-// anything runs.
+// --engine=batch, a non-positive batch size must be rejected before
+// anything runs, and Count, which counts the batch root in place, must
+// return and charge what counting Execute's rows does.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dataflow/partitioning_audit.h"
@@ -237,6 +240,83 @@ TEST(BatchEngineTest, RejectsNonPositiveBatchSize) {
     ASSERT_FALSE(explained.ok()) << "batch_size=" << batch_size;
     EXPECT_EQ(explained.status().code(), StatusCode::kInvalidArgument);
   }
+}
+
+// What one call left in the cost model: simulated seconds as a hex float
+// (so equality is bit equality), network bytes, records and, with
+// telemetry on, the stage count.
+struct Charges {
+  std::string simulated_hex;
+  uint64_t network_bytes = 0;
+  uint64_t records = 0;
+  uint64_t stages = 0;
+
+  bool operator==(const Charges&) const = default;
+};
+
+Charges ReadCharges(dataflow::ExecutionContext& ctx) {
+  Charges c;
+  char hex[64];
+  std::snprintf(hex, sizeof(hex), "%a", ctx.tracker().SimulatedSeconds());
+  c.simulated_hex = hex;
+  c.network_bytes = ctx.tracker().NetworkBytes();
+  c.records = ctx.tracker().TotalRecords();
+  const auto counters = ctx.telemetry().metrics().Snapshot().counters;
+  const auto stages = counters.find("stage.count");
+  c.stages = stages == counters.end() ? 0 : stages->second;
+  return c;
+}
+
+void ResetCharges(dataflow::ExecutionContext& ctx) {
+  ctx.tracker().Reset();
+  ctx.telemetry().ResetData();
+}
+
+TEST(BatchEngineTest, CountEqualsCountingExecutesRowsAndChargesTheSame) {
+  // Count on the batch engine sums the root batches in place unless
+  // DISTINCT or LIMIT needs row keys. Either way it must return the
+  // number of rows Execute returns and leave the cost model exactly where
+  // Execute followed by counting those rows leaves it.
+  auto graph = SmallLdbc();
+  dataflow::ExecutionContext& ctx = *graph.vertices().context();
+  ctx.EnableTelemetry();
+  std::vector<std::string> queries = Corpus();
+  queries.resize(6);  // the six LDBC queries
+  queries.insert(
+      queries.end(),
+      {"MATCH (p:Person)-[:hasInterest]->(t:Tag) RETURN DISTINCT t.name",
+       "MATCH (p1:Person)-[:knows]->(p2:Person) RETURN p1, p2 LIMIT 25",
+       "MATCH (p:Person)-[:hasInterest]->(t:Tag) "
+       "RETURN DISTINCT p.firstName LIMIT 5",
+       "MATCH (p1:Person)-[:knows]->(p2:Person) RETURN p1 LIMIT 0",
+       // Statically unsatisfiable: nothing is planned or run.
+       "MATCH (p:Person) WHERE 1 = 2 RETURN p"});
+  std::vector<std::pair<std::string, PlannerOptions>> engines = {
+      {"row", PlannerOptions()}};
+  for (const int batch_size : {1, 7, 1024}) {
+    engines.emplace_back("batch/" + std::to_string(batch_size),
+                         BatchOptions(batch_size));
+  }
+  for (const auto& [label, options] : engines) {
+    CypherEngine engine(graph, options);
+    for (const std::string& q : queries) {
+      ResetCharges(ctx);
+      auto executed = engine.Execute(q);
+      ASSERT_TRUE(executed.ok()) << label << ": " << q << " -> "
+                                 << executed.status();
+      const uint64_t rows = executed.value().embeddings.data.Count();
+      EXPECT_EQ(executed.value().matches, rows) << label << ": " << q;
+      const Charges after_execute = ReadCharges(ctx);
+
+      ResetCharges(ctx);
+      auto counted = engine.Count(q);
+      ASSERT_TRUE(counted.ok()) << label << ": " << q << " -> "
+                                << counted.status();
+      EXPECT_EQ(counted.value(), rows) << label << ": " << q;
+      EXPECT_EQ(ReadCharges(ctx), after_execute) << label << ": " << q;
+    }
+  }
+  ctx.DisableTelemetry();
 }
 
 // Best-of-`reps` wall time of converting `rows` single-row batches back

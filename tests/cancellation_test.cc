@@ -3,8 +3,9 @@
 // DerivePlanProperties computes (VerifyCompiledPlan rejects a tree that
 // skipped the pass as unbounded), the GQL008 unwind on deadlines
 // and injected cancels in both engines, the GRADOOP_AUDIT_CANCELLATION
-// runtime audit (including its abort on an unpolled loop), and the query
-// log's cancellation attribution plus SetPath's failure path.
+// runtime audit over Execute and Count (including its abort on an
+// unpolled loop), and the query log's cancellation attribution plus
+// SetPath's failure path.
 #include "common/cancellation.h"
 
 #include <gtest/gtest.h>
@@ -256,6 +257,32 @@ TEST(CancellationAuditTest, InjectedCancelsUnwindCleanlyOverLdbc) {
   // One probe per query per engine; at least one checkpoint must have
   // actually tripped (a probe that never trips proves nothing), every
   // tripped probe was audited, and none violated its claims.
+  EXPECT_EQ(stats.injections(), 12u);
+  EXPECT_GT(stats.trips(), 0u);
+  EXPECT_EQ(stats.checks(), stats.trips());
+  EXPECT_EQ(stats.violations(), 0u);
+}
+
+TEST(CancellationAuditTest, InjectedCancelsUnwindCleanlyOverLdbcCount) {
+  // Count goes through the same audit probe as Execute; on the batch
+  // engine the probe's run counts the root batches in place, so this
+  // covers the count path's unwind too. Batch size 7 cuts the root into
+  // many batches.
+  exec::CancellationAuditStats& stats =
+      exec::CancellationAuditStats::Instance();
+  stats.Reset();
+  setenv("GRADOOP_AUDIT_CANCELLATION", "1", 1);
+  CypherEngine engine(LdbcGraph());
+  for (const auto mode : {PlannerOptions::ExecutionEngine::kRow,
+                          PlannerOptions::ExecutionEngine::kBatch}) {
+    engine.planner_options().engine = mode;
+    engine.planner_options().batch_size = 7;
+    for (const std::string& q : LdbcQueries()) {
+      auto count = engine.Count(q);
+      EXPECT_TRUE(count.ok()) << q << " -> " << count.status();
+    }
+  }
+  unsetenv("GRADOOP_AUDIT_CANCELLATION");
   EXPECT_EQ(stats.injections(), 12u);
   EXPECT_GT(stats.trips(), 0u);
   EXPECT_EQ(stats.checks(), stats.trips());

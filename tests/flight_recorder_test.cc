@@ -1,12 +1,13 @@
 // Observability-layer tests: Q-error unit behavior, flight-recorder
 // retention (byte budget, capacity, newest-kept) and export validity,
 // query-log JSONL shape and slow-query flagging, validator rejection of
-// malformed artifacts, concurrent recording from parallel threads, and
-// the cypher_stats aggregation/baseline-diff layer over the six LDBC
-// queries.
+// malformed artifacts, concurrent recording from parallel threads, the
+// match count Count logs on both engines, and the cypher_stats
+// aggregation/baseline-diff layer over the six LDBC queries.
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -330,6 +331,38 @@ TEST(FlightRecorderEngineTest, RecordsBothEnginesAndExportValidates) {
   }
   EXPECT_NE(ctx->query_log().Lines()[1].find("\"engine\": \"batch\""),
             std::string::npos);
+}
+
+TEST(FlightRecorderEngineTest, CountLogsTheMatchesExecuteLogs) {
+  // Count on the batch engine never builds result rows, so the query log
+  // must read the match count the engine carries, not the (empty) rows.
+  auto ctx = dataflow::MakeContext();
+  CypherEngine engine(LdbcGraph(ctx));
+  ctx->EnableTelemetry();
+  auto matches_of = [](const std::string& line) {
+    const std::string key = "\"matches\": ";
+    const size_t at = line.find(key);
+    EXPECT_NE(at, std::string::npos) << line;
+    return at == std::string::npos
+               ? ~0ull
+               : std::strtoull(line.c_str() + at + key.size(), nullptr, 10);
+  };
+  for (const auto mode : {query::PlannerOptions::ExecutionEngine::kRow,
+                          query::PlannerOptions::ExecutionEngine::kBatch}) {
+    engine.planner_options().engine = mode;
+    auto executed = engine.Execute(ldbc::Query6());
+    ASSERT_TRUE(executed.ok()) << executed.status();
+    const std::string execute_line = ctx->query_log().Lines().back();
+    auto counted = engine.Count(ldbc::Query6());
+    ASSERT_TRUE(counted.ok()) << counted.status();
+    const std::string count_line = ctx->query_log().Lines().back();
+    EXPECT_GT(counted.value(), 0u);
+    EXPECT_EQ(matches_of(execute_line),
+              executed.value().embeddings.data.Count());
+    EXPECT_EQ(matches_of(count_line), matches_of(execute_line));
+    EXPECT_EQ(matches_of(count_line), counted.value());
+  }
+  ctx->DisableTelemetry();
 }
 
 TEST(FlightRecorderEngineTest, DisabledTelemetryRecordsNothing) {
