@@ -19,9 +19,10 @@
 //     batches_to_rows   per_row
 //     value_join_key    per_probe_row
 //     expand_hop        per_hop | per_record
+//     leaf_scan         comment_post | has_creator | person_filtered
 //
-// The last four time batch engine kernels per row, record or hop, not
-// per call. The join and conversion rows run on a one-worker context
+// The last five time batch engine kernels per row, record, hop or
+// scanned element, not per call. The join and conversion rows run on a one-worker context
 // with both join sides adopted, so no exchange runs: a join whose probe
 // side is empty prices the build, a join with a small build side prices
 // the probe and its merged output, and the value join probes string keys
@@ -29,7 +30,10 @@
 // ExpandBatches: per_hop on the engine's worker count with a 4-record
 // frontier (a hop's fixed cost: its pool pass and charges), per_record
 // on the one-worker context with one hop over 65,536 wide base rows
-// (a record's walk, route and emission).
+// (a record's walk, route and emission). leaf_scan times the batch scans
+// of LDBC Q1 on the engine's graph and pool, per element of the scanned
+// labels: the unfiltered Comment|Post scan projecting two properties,
+// the hasCreator edge scan and the Person scan filtered on firstName.
 //
 // Modes alternate inside one loop and every round reverses their order,
 // so no mode always runs first (cold). Each mode after an overhead's
@@ -57,9 +61,12 @@
 #include "common/lock_rank.h"
 #include "common/thread_annotations.h"
 #include "common/timer.h"
+#include "cypher/expression.h"
+#include "cypher/query_graph.h"
 #include "dataflow/execution_context.h"
 #include "dataflow/thread_pool.h"
 #include "epgm/adjacency_index.h"
+#include "epgm/indexed_logical_graph.h"
 #include "query/batch_operators.h"
 
 namespace {
@@ -420,6 +427,52 @@ int main() {
     }
   };
 
+  // Q1's leaf scans, read from the engine's label-partitioned store.
+  const gradoop::epgm::IndexedLogicalGraph& indexed = engine.indexed_graph();
+  const auto elements_in = [](const auto& list) {
+    uint64_t n = 0;
+    for (int p = 0; p < list.num_partitions(); ++p) {
+      n += list.partition(p).size();
+    }
+    return n;
+  };
+  gradoop::cypher::QueryVertex message;
+  message.variable = "message";
+  message.labels = {"Comment", "Post"};
+  gradoop::query::EmbeddingMetaData message_meta;
+  message_meta.AddIdColumn("message", gradoop::query::EntryType::kVertex);
+  message_meta.AddPropertyColumn("message", "creationDate");
+  message_meta.AddPropertyColumn("message", "content");
+  gradoop::cypher::QueryEdge has_creator;
+  has_creator.variable = "e";
+  has_creator.types = {"hasCreator"};
+  gradoop::query::EmbeddingMetaData has_creator_meta;
+  has_creator_meta.AddIdColumn("message", gradoop::query::EntryType::kVertex);
+  has_creator_meta.AddIdColumn("e", gradoop::query::EntryType::kEdge);
+  has_creator_meta.AddIdColumn("person", gradoop::query::EntryType::kVertex);
+  gradoop::cypher::QueryVertex person;
+  person.variable = "person";
+  person.labels = {"Person"};
+  gradoop::query::EmbeddingMetaData person_meta;
+  person_meta.AddIdColumn("person", gradoop::query::EntryType::kVertex);
+  const std::vector<gradoop::cypher::CnfClause> first_name = {
+      {{gradoop::cypher::Expression::Comparison(
+          gradoop::cypher::ComparisonOp::kEq,
+          gradoop::cypher::Expression::PropertyAccess("person", "firstName"),
+          gradoop::cypher::Expression::Literal(harness.FirstName(
+              sf, gradoop::ldbc::Selectivity::kMedium)))}}};
+  const auto messages = indexed.VerticesOfLabels(message.labels);
+  const auto has_creator_edges = indexed.EdgesOfTypes(has_creator.types);
+  const auto persons = indexed.VerticesOfLabels(person.labels);
+  const uint64_t message_count = elements_in(messages);
+  const uint64_t has_creator_count = elements_in(has_creator_edges);
+  const uint64_t person_count = elements_in(persons);
+  const auto sink_batches = [](const gradoop::query::BatchSet& out) {
+    for (int p = 0; p < out.data.num_partitions(); ++p) {
+      g_sink = g_sink + out.data.partition(p).size();
+    }
+  };
+
   const MicroLoop loops[] = {
       {"cancellation",
        5'000'000,
@@ -496,6 +549,30 @@ int main() {
          })}},
        {{"id_columns", "9"}, {"properties", "3"},
         {"rows", std::to_string(kKernelRows)}}},
+      {"leaf_scan",
+       4 * std::max({message_count, has_creator_count, person_count}),
+       {{"comment_post", NsPerRow(message_count, [&] {
+           sink_batches(gradoop::query::ScanVerticesBatch(
+               messages, message, {}, message_meta, {},
+               gradoop::query::exec::kDefaultBatchSize));
+         })},
+        {"has_creator", NsPerRow(has_creator_count, [&] {
+           sink_batches(gradoop::query::ScanEdgesBatch(
+               has_creator_edges, has_creator, {},
+               gradoop::query::MorphismSetting::Neo4j(), false,
+               has_creator_meta, {},
+               gradoop::query::exec::kDefaultBatchSize));
+         })},
+        {"person_filtered", NsPerRow(person_count, [&] {
+           sink_batches(gradoop::query::ScanVerticesBatch(
+               persons, person, first_name, person_meta, {},
+               gradoop::query::exec::kDefaultBatchSize));
+         })}},
+       {{"sf", Fixed(sf, 2)},
+        {"workers", std::to_string(kWorkers)},
+        {"comment_post_elements", std::to_string(message_count)},
+        {"has_creator_elements", std::to_string(has_creator_count)},
+        {"person_elements", std::to_string(person_count)}}},
   };
   for (const MicroLoop& loop : loops) {
     const std::vector<double> medians = InterleavedMedians(

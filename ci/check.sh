@@ -343,7 +343,7 @@ if [[ "${ONLY}" == "all" || "${ONLY}" == "observability" ]]; then
     "${OUT}/plain/bench/bench_overheads" >/dev/null)
   for overhead in telemetry memory_accounting cancellation lock_rank \
                   pool_dispatch join_build_probe batches_to_rows \
-                  value_join_key expand_hop root_finish; do
+                  value_join_key expand_hop root_finish leaf_scan; do
     if ! grep -q "\"overhead\": \"${overhead}\"" \
       "${OBS_DIR}/BENCH_overheads.json"; then
       echo "bench_overheads: no ${overhead} record" >&2

@@ -1,7 +1,5 @@
 #include "cypher/expression.h"
 
-#include <cassert>
-
 namespace gradoop::cypher {
 
 ComparisonOp NegateComparison(ComparisonOp op) {
@@ -162,26 +160,11 @@ std::string Expression::ToString() const {
   return "?";
 }
 
-namespace {
-
-// Evaluates a value-producing subexpression (literal or property access).
-epgm::PropertyValue EvaluateValue(const Expression& expr,
-                                  const ValueResolver& resolver) {
-  if (expr.kind() == ExprKind::kLiteral) return expr.literal();
-  // Bare variable references never survive semantic analysis; evaluating
-  // one (only reachable when QueryGraph::Build is driven directly, without
-  // the analyzer) yields NULL, which collapses the predicate to false.
-  if (expr.kind() == ExprKind::kVariable) return epgm::PropertyValue::Null();
-  assert(expr.kind() == ExprKind::kPropertyAccess);
-  return resolver(expr.variable(), expr.property_key());
-}
-
-std::optional<bool> EvaluateComparison(const Expression& expr,
-                                       const ValueResolver& resolver) {
-  const epgm::PropertyValue lhs = EvaluateValue(*expr.left(), resolver);
-  const epgm::PropertyValue rhs = EvaluateValue(*expr.right(), resolver);
+std::optional<bool> CompareValues(ComparisonOp op,
+                                  const epgm::PropertyValue& lhs,
+                                  const epgm::PropertyValue& rhs) {
   if (lhs.is_null() || rhs.is_null()) return std::nullopt;
-  switch (expr.comparison_op()) {
+  switch (op) {
     case ComparisonOp::kEq:
       return lhs == rhs;
     case ComparisonOp::kNeq:
@@ -193,7 +176,7 @@ std::optional<bool> EvaluateComparison(const Expression& expr,
   }
   const std::optional<int> cmp = lhs.Compare(rhs);
   if (!cmp.has_value()) return std::nullopt;
-  switch (expr.comparison_op()) {
+  switch (op) {
     case ComparisonOp::kLt:
       return *cmp < 0;
     case ComparisonOp::kLte:
@@ -207,55 +190,9 @@ std::optional<bool> EvaluateComparison(const Expression& expr,
   }
 }
 
-}  // namespace
-
 std::optional<bool> EvaluateTernary(const Expression& expr,
                                     const ValueResolver& resolver) {
-  switch (expr.kind()) {
-    case ExprKind::kLiteral:
-      if (expr.literal().is_bool()) return expr.literal().bool_value();
-      if (expr.literal().is_null()) return std::nullopt;
-      return std::nullopt;  // non-boolean literal in predicate position
-    case ExprKind::kPropertyAccess: {
-      const epgm::PropertyValue v =
-          resolver(expr.variable(), expr.property_key());
-      if (v.is_bool()) return v.bool_value();
-      return std::nullopt;
-    }
-    case ExprKind::kVariable:
-      // An element reference is not a truth value (see EvaluateValue).
-      return std::nullopt;
-    case ExprKind::kComparison:
-      return EvaluateComparison(expr, resolver);
-    case ExprKind::kAnd: {
-      const auto l = EvaluateTernary(*expr.left(), resolver);
-      const auto r = EvaluateTernary(*expr.right(), resolver);
-      if (l.has_value() && !*l) return false;
-      if (r.has_value() && !*r) return false;
-      if (l.has_value() && r.has_value()) return true;
-      return std::nullopt;
-    }
-    case ExprKind::kOr: {
-      const auto l = EvaluateTernary(*expr.left(), resolver);
-      const auto r = EvaluateTernary(*expr.right(), resolver);
-      if (l.has_value() && *l) return true;
-      if (r.has_value() && *r) return true;
-      if (l.has_value() && r.has_value()) return false;
-      return std::nullopt;
-    }
-    case ExprKind::kXor: {
-      const auto l = EvaluateTernary(*expr.left(), resolver);
-      const auto r = EvaluateTernary(*expr.right(), resolver);
-      if (!l.has_value() || !r.has_value()) return std::nullopt;
-      return *l != *r;
-    }
-    case ExprKind::kNot: {
-      const auto v = EvaluateTernary(*expr.left(), resolver);
-      if (!v.has_value()) return std::nullopt;
-      return !*v;
-    }
-  }
-  return std::nullopt;
+  return EvaluateTernaryWith(expr, resolver);
 }
 
 bool EvaluatePredicate(const Expression& expr, const ValueResolver& resolver) {
@@ -380,11 +317,7 @@ Cnf ToCnf(const ExpressionPtr& expr) {
 }
 
 bool EvaluateClause(const CnfClause& clause, const ValueResolver& resolver) {
-  for (const ExpressionPtr& atom : clause.atoms) {
-    const auto v = EvaluateTernary(*atom, resolver);
-    if (v.has_value() && *v) return true;
-  }
-  return false;
+  return EvaluateClauseWith(clause, resolver);
 }
 
 }  // namespace gradoop::cypher

@@ -1,6 +1,7 @@
 #ifndef GRADOOP_CYPHER_EXPRESSION_H_
 #define GRADOOP_CYPHER_EXPRESSION_H_
 
+#include <cassert>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -110,6 +111,21 @@ std::optional<bool> EvaluateTernary(const Expression& expr,
 // keeps a row only when the predicate is definitely true).
 bool EvaluatePredicate(const Expression& expr, const ValueResolver& resolver);
 
+// Compares two operand values: NULL when either is NULL or an ordering
+// compares incomparable types.
+std::optional<bool> CompareValues(ComparisonOp op,
+                                  const epgm::PropertyValue& lhs,
+                                  const epgm::PropertyValue& rhs);
+
+// The evaluator behind the ValueResolver overloads, over any callable
+// `resolve(variable, key)` that returns a PropertyValue or a const
+// reference to one. The query kernels pass a lambda bound once per call,
+// so evaluating an element or row builds no std::function, and literals
+// are compared in place instead of copied.
+template <typename Resolve>
+std::optional<bool> EvaluateTernaryWith(const Expression& expr,
+                                        const Resolve& resolve);
+
 // A disjunction of atomic predicates; a conjunction of clauses is a CNF.
 struct CnfClause {
   std::vector<ExpressionPtr> atoms;  // comparisons (negations folded away)
@@ -136,6 +152,95 @@ Cnf ToCnf(const ExpressionPtr& expr);
 // Evaluates one CNF clause (disjunction) under ternary logic, collapsing
 // NULL to false.
 bool EvaluateClause(const CnfClause& clause, const ValueResolver& resolver);
+
+namespace internal {
+
+inline const epgm::PropertyValue& NullValue() {
+  static const epgm::PropertyValue kNull;
+  return kNull;
+}
+
+// Passes the value of an operand (literal or property access) to `then`,
+// literals by reference.
+template <typename Resolve, typename Then>
+std::optional<bool> WithOperand(const Expression& expr, const Resolve& resolve,
+                                const Then& then) {
+  if (expr.kind() == ExprKind::kLiteral) return then(expr.literal());
+  // Bare variable references never survive semantic analysis; evaluating
+  // one (only reachable when QueryGraph::Build is driven directly, without
+  // the analyzer) yields NULL, which collapses the predicate to false.
+  if (expr.kind() == ExprKind::kVariable) return then(NullValue());
+  assert(expr.kind() == ExprKind::kPropertyAccess);
+  return then(resolve(expr.variable(), expr.property_key()));
+}
+
+}  // namespace internal
+
+template <typename Resolve>
+std::optional<bool> EvaluateTernaryWith(const Expression& expr,
+                                        const Resolve& resolve) {
+  switch (expr.kind()) {
+    case ExprKind::kLiteral:
+      if (expr.literal().is_bool()) return expr.literal().bool_value();
+      return std::nullopt;  // NULL, or a non-boolean literal in predicate
+                            // position
+    case ExprKind::kPropertyAccess: {
+      const epgm::PropertyValue& v =
+          resolve(expr.variable(), expr.property_key());
+      if (v.is_bool()) return v.bool_value();
+      return std::nullopt;
+    }
+    case ExprKind::kVariable:
+      // An element reference is not a truth value (see WithOperand).
+      return std::nullopt;
+    case ExprKind::kComparison:
+      return internal::WithOperand(
+          *expr.left(), resolve, [&](const epgm::PropertyValue& lhs) {
+            return internal::WithOperand(
+                *expr.right(), resolve, [&](const epgm::PropertyValue& rhs) {
+                  return CompareValues(expr.comparison_op(), lhs, rhs);
+                });
+          });
+    case ExprKind::kAnd: {
+      const auto l = EvaluateTernaryWith(*expr.left(), resolve);
+      const auto r = EvaluateTernaryWith(*expr.right(), resolve);
+      if (l.has_value() && !*l) return false;
+      if (r.has_value() && !*r) return false;
+      if (l.has_value() && r.has_value()) return true;
+      return std::nullopt;
+    }
+    case ExprKind::kOr: {
+      const auto l = EvaluateTernaryWith(*expr.left(), resolve);
+      const auto r = EvaluateTernaryWith(*expr.right(), resolve);
+      if (l.has_value() && *l) return true;
+      if (r.has_value() && *r) return true;
+      if (l.has_value() && r.has_value()) return false;
+      return std::nullopt;
+    }
+    case ExprKind::kXor: {
+      const auto l = EvaluateTernaryWith(*expr.left(), resolve);
+      const auto r = EvaluateTernaryWith(*expr.right(), resolve);
+      if (!l.has_value() || !r.has_value()) return std::nullopt;
+      return *l != *r;
+    }
+    case ExprKind::kNot: {
+      const auto v = EvaluateTernaryWith(*expr.left(), resolve);
+      if (!v.has_value()) return std::nullopt;
+      return !*v;
+    }
+  }
+  return std::nullopt;
+}
+
+// EvaluateClause over any resolver callable (see EvaluateTernaryWith).
+template <typename Resolve>
+bool EvaluateClauseWith(const CnfClause& clause, const Resolve& resolve) {
+  for (const ExpressionPtr& atom : clause.atoms) {
+    const auto v = EvaluateTernaryWith(*atom, resolve);
+    if (v.has_value() && *v) return true;
+  }
+  return false;
+}
 
 }  // namespace gradoop::cypher
 

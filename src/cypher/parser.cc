@@ -1,5 +1,6 @@
 #include "cypher/parser.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/strings.h"
@@ -222,6 +223,9 @@ class Parser {
     return rel;
   }
 
+  // A repeated label is kept once, at its first occurrence: the scans
+  // read one dataset per listed label, so `:Post|Post` would otherwise
+  // match every Post twice.
   Result<std::vector<std::string>> ParseLabelAlternation() {
     std::vector<std::string> labels;
     if (Peek().kind != TokenKind::kIdentifier) {
@@ -232,7 +236,10 @@ class Parser {
       if (Peek().kind != TokenKind::kIdentifier) {
         return Error("expected a label name after '|'");
       }
-      labels.push_back(Advance().text);
+      std::string label = Advance().text;
+      if (std::find(labels.begin(), labels.end(), label) == labels.end()) {
+        labels.push_back(std::move(label));
+      }
     }
     return labels;
   }

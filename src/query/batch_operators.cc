@@ -256,18 +256,19 @@ struct MergeParams {
   int left_id_columns = 0;
   MorphismPlan morphism;
   EmbeddingMetaData merged_meta;
-  std::vector<cypher::CnfClause> residual;
+  BoundClauses residual;  // bound to merged_meta
   int batch_size = 0;
 
   MergeParams(const EmbeddingMetaData& merged, int left_cols,
               const MorphismSetting& semantics,
-              std::vector<cypher::CnfClause> residual_clauses, int size)
+              const std::vector<cypher::CnfClause>& residual_clauses,
+              int size)
       : flags(BatchColumnFlags(merged)),
         props(merged.property_column_count()),
         left_id_columns(left_cols),
         morphism(merged, left_cols, semantics),
         merged_meta(merged),
-        residual(std::move(residual_clauses)),
+        residual(residual_clauses, merged),
         batch_size(size) {}
 };
 
@@ -519,8 +520,7 @@ void BuildProbeMerge(const std::vector<EmbeddingBatch>& left_batches,
         const EmbeddingBatch::RowMark mark = builder.Mark();
         builder.AppendRowCells(lb, lrow, 0);
         builder.AppendRowCells(rb, rrow, mp.left_id_columns);
-        if (!RowPassesClauses(mp.residual, mp.merged_meta, builder,
-                              builder.num_rows())) {
+        if (!mp.residual.Passes(builder, builder.num_rows())) {
           builder.Rollback(mark);
           continue;
         }
@@ -695,136 +695,19 @@ uint64_t CountBatchRows(const BatchSet& batches) {
   return total;
 }
 
-BatchSet ScanVerticesBatch(const dataflow::DatasetList<epgm::Vertex>& vertices,
-                           const cypher::QueryVertex& query_vertex,
-                           const std::vector<cypher::CnfClause>& predicates,
-                           const EmbeddingMetaData& meta,
-                           const std::vector<cypher::CnfClause>& residual,
-                           int batch_size) {
-  assert(batch_size > 0);
-  const std::vector<std::string> projected =
-      ProjectedKeys(meta, query_vertex.variable);
-  std::vector<uint8_t> flags = BatchColumnFlags(meta);
-  const int props = meta.property_column_count();
-  common::CancellationToken& cancel = vertices.context()->cancellation();
-  auto data = vertices.MapPartition<EmbeddingBatch>(
-      [query_vertex, predicates, projected, meta, residual,
-       flags = std::move(flags), props, batch_size, &cancel](
-          int /*partition*/, const dfl::ChainedPartition<epgm::Vertex>& src,
-          std::vector<EmbeddingBatch>* out) {
-        EmbeddingBatch builder(flags, props);
-        for (const epgm::Vertex& v : src) {
-          if (cancel.CheckCancelled()) break;
-          if (!query_vertex.MatchesLabel(v.label)) continue;
-          const auto resolver =
-              ElementResolver(query_vertex.variable, v.properties);
-          if (!EvaluateClauses(predicates, resolver)) continue;
-          // Speculative append: push the row's cells, evaluate the fused
-          // residual on the pending row, roll back on failure.
-          const EmbeddingBatch::RowMark mark = builder.Mark();
-          builder.PushId(0, v.id);
-          for (const std::string& key : projected) {
-            builder.PushProperty(v.properties.Get(key));
-          }
-          if (!RowPassesClauses(residual, meta, builder,
-                                builder.num_rows())) {
-            builder.Rollback(mark);
-            continue;
-          }
-          builder.CommitRow();
-          if (static_cast<int>(builder.num_rows()) >= batch_size) {
-            out->push_back(std::move(builder));
-            builder = EmbeddingBatch(flags, props);
-          }
-        }
-        if (builder.num_rows() > 0) out->push_back(std::move(builder));
-      },
-      "SelectAndProjectVertices");
-  return {std::move(data), meta};
-}
-
-BatchSet ScanEdgesBatch(const dataflow::DatasetList<epgm::Edge>& edges,
-                        const cypher::QueryEdge& query_edge,
-                        const std::vector<cypher::CnfClause>& predicates,
-                        const MorphismSetting& semantics, bool self_loop,
-                        const EmbeddingMetaData& meta,
-                        const std::vector<cypher::CnfClause>& residual,
-                        int batch_size) {
-  assert(!query_edge.IsVariableLength());
-  assert(batch_size > 0);
-  const bool drop_data_self_loops =
-      !self_loop && semantics.vertex == MatchSemantics::kIsomorphism;
-  const std::vector<std::string> projected =
-      ProjectedKeys(meta, query_edge.variable);
-  const bool any_direction = query_edge.any_direction;
-  std::vector<uint8_t> flags = BatchColumnFlags(meta);
-  const int props = meta.property_column_count();
-  common::CancellationToken& cancel = edges.context()->cancellation();
-  auto data = edges.MapPartition<EmbeddingBatch>(
-      [query_edge, predicates, projected, self_loop, any_direction,
-       drop_data_self_loops, meta, residual, flags = std::move(flags), props,
-       batch_size,
-       &cancel](int /*partition*/,
-                const dfl::ChainedPartition<epgm::Edge>& src,
-                std::vector<EmbeddingBatch>* out) {
-        EmbeddingBatch builder(flags, props);
-        auto emit = [&](const epgm::Edge& edge, uint64_t source,
-                        uint64_t target) {
-          const EmbeddingBatch::RowMark mark = builder.Mark();
-          int column = 0;
-          builder.PushId(column++, source);
-          builder.PushId(column++, edge.id);
-          if (!self_loop) builder.PushId(column++, target);
-          for (const std::string& key : projected) {
-            builder.PushProperty(edge.properties.Get(key));
-          }
-          if (!RowPassesClauses(residual, meta, builder,
-                                builder.num_rows())) {
-            builder.Rollback(mark);
-            return;
-          }
-          builder.CommitRow();
-          if (static_cast<int>(builder.num_rows()) >= batch_size) {
-            out->push_back(std::move(builder));
-            builder = EmbeddingBatch(flags, props);
-          }
-        };
-        for (const epgm::Edge& edge : src) {
-          if (cancel.CheckCancelled()) break;
-          if (!query_edge.MatchesType(edge.label)) continue;
-          if (self_loop && edge.source_id != edge.target_id) continue;
-          if (drop_data_self_loops && edge.source_id == edge.target_id) {
-            continue;
-          }
-          const auto resolver =
-              ElementResolver(query_edge.variable, edge.properties);
-          if (!EvaluateClauses(predicates, resolver)) continue;
-          emit(edge, edge.source_id, edge.target_id);
-          // Undirected pattern: the edge also matches flipped (unless it
-          // is a data self-loop, which would duplicate).
-          if (any_direction && edge.source_id != edge.target_id) {
-            emit(edge, edge.target_id, edge.source_id);
-          }
-        }
-        if (builder.num_rows() > 0) out->push_back(std::move(builder));
-      },
-      "SelectAndProjectEdges");
-  return {std::move(data), meta};
-}
-
 BatchSet SelectBatches(const BatchSet& input,
                        const std::vector<cypher::CnfClause>& clauses) {
-  const EmbeddingMetaData meta = input.meta;
+  const BoundClauses bound(clauses, input.meta);
   // The select-loop: no row moves — the survivors' indices become the
   // batch's selection vector over the shared column store.
   auto data = input.data.Map(
-      [meta, clauses](const EmbeddingBatch& b) {
+      [&bound](const EmbeddingBatch& b) {
         std::vector<uint32_t> selected;
         const uint32_t active = b.ActiveRows();
         selected.reserve(active);
         for (uint32_t i = 0; i < active; ++i) {
           const uint32_t row = b.ActiveRow(i);
-          if (RowPassesClauses(clauses, meta, b, row)) {
+          if (bound.Passes(b, row)) {
             selected.push_back(row);
           }
         }

@@ -36,24 +36,6 @@ inline std::vector<uint8_t> BatchColumnFlags(const EmbeddingMetaData& meta) {
   return flags;
 }
 
-// Clause evaluation against one batch row — the columnar counterpart of
-// EmbeddingMetaData::MakeResolver. Also valid for the *pending* row of a
-// builder (cells pushed, CommitRow not yet called), which is how the
-// kernels evaluate fused residuals speculatively before committing.
-inline bool RowPassesClauses(const std::vector<cypher::CnfClause>& clauses,
-                             const EmbeddingMetaData& meta,
-                             const EmbeddingBatch& b, uint32_t row) {
-  if (clauses.empty()) return true;
-  const auto resolver = [&meta, &b, row](
-                            const std::string& var,
-                            const std::string& key) -> epgm::PropertyValue {
-    const int column = meta.PropertyColumn(var, key);
-    if (column < 0) return epgm::PropertyValue::Null();
-    return b.PropertyAt(column, row);
-  };
-  return EvaluateClauses(clauses, resolver);
-}
-
 // Appends row `row`'s value-join key over the property `columns`: the
 // concatenated key encodings, numerics normalized so 2 and 2.0 join —
 // byte for byte the key the row engine's ValueJoinEmbeddings builds, so

@@ -103,16 +103,6 @@ EmbeddingMetaData EmbeddingMetaData::Merge(const EmbeddingMetaData& left,
   return out;
 }
 
-cypher::ValueResolver EmbeddingMetaData::MakeResolver(
-    const Embedding& embedding) const {
-  return [this, &embedding](const std::string& variable,
-                            const std::string& key) -> epgm::PropertyValue {
-    const int column = PropertyColumn(variable, key);
-    if (column < 0) return epgm::PropertyValue::Null();
-    return embedding.PropertyAt(column);
-  };
-}
-
 std::string EmbeddingMetaData::ToString() const {
   std::string out = "{";
   bool first = true;

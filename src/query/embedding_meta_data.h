@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "cypher/expression.h"
 #include "query/embedding.h"
 
 namespace gradoop::query {
@@ -64,10 +63,6 @@ class EmbeddingMetaData {
   // their left column.
   static EmbeddingMetaData Merge(const EmbeddingMetaData& left,
                                  const EmbeddingMetaData& right);
-
-  // Resolver reading `variable.key` out of `embedding` for predicate
-  // evaluation. The embedding reference must outlive the resolver.
-  cypher::ValueResolver MakeResolver(const Embedding& embedding) const;
 
   std::string ToString() const;
 

@@ -5,8 +5,11 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "query/batch_operators.h"
 
@@ -15,13 +18,6 @@ namespace gradoop::query {
 namespace dfl = ::gradoop::dataflow;
 
 namespace {
-
-// Residual clauses of a fused filter, evaluated on the produced embedding.
-bool PassesResidual(const std::vector<cypher::CnfClause>& residual,
-                    const EmbeddingMetaData& meta, const Embedding& e) {
-  if (residual.empty()) return true;
-  return EvaluateClauses(residual, meta.MakeResolver(e));
-}
 
 // Join key: concatenated 8-byte ids of the given columns.
 std::string JoinKeyOf(const Embedding& embedding,
@@ -39,35 +35,183 @@ std::string JoinKeyOf(const Embedding& embedding,
 
 }  // namespace
 
+BoundClauses::BoundClauses(const std::vector<cypher::CnfClause>& clauses,
+                           const EmbeddingMetaData& meta)
+    : clauses_(clauses) {
+  std::set<std::pair<std::string, std::string>> accessed;
+  for (const cypher::CnfClause& clause : clauses) {
+    for (const cypher::ExpressionPtr& atom : clause.atoms) {
+      atom->CollectPropertyAccesses(&accessed);
+    }
+  }
+  for (const auto& [variable, key] : accessed) {
+    accesses_.push_back({variable, key, meta.PropertyColumn(variable, key)});
+  }
+}
+
+namespace {
+
+// --- Leaf scans: one select-project loop for both engines -------------
+
+// A partition's output batch under construction: rows are pushed as
+// cells, committed, and the batch is cut at `batch_size` rows.
+class BatchOutput {
+ public:
+  BatchOutput(const std::vector<uint8_t>& flags, int props, int batch_size,
+              std::vector<EmbeddingBatch>* out)
+      : flags_(&flags),
+        props_(props),
+        batch_size_(batch_size),
+        out_(out),
+        builder_(flags, props) {}
+
+  EmbeddingBatch& builder() { return builder_; }
+  const EmbeddingBatch& builder() const { return builder_; }
+  // The pending row's index, for checks before CommitRow.
+  uint32_t pending_row() const { return builder_.num_rows(); }
+
+  void CommitRow() {
+    builder_.CommitRow();
+    if (static_cast<int>(builder_.num_rows()) >= batch_size_) {
+      out_->push_back(std::move(builder_));
+      builder_ = EmbeddingBatch(*flags_, props_);
+    }
+  }
+  void Finish() {
+    if (builder_.num_rows() > 0) out_->push_back(std::move(builder_));
+  }
+
+ private:
+  const std::vector<uint8_t>* flags_;
+  int props_;
+  int batch_size_;
+  std::vector<EmbeddingBatch>* out_;
+  EmbeddingBatch builder_;
+};
+
+// The leaf scan of both engines (`Set` EmbeddingSet or BatchSet), over
+// vertices or edges: one narrow stage over the label datasets of
+// `elements`, read in place in list order. Each partition task runs the
+// label test, the element predicates (only when present, through one
+// resolver bound to a pointer at the current element) and writes one
+// row per match: [id] for a vertex, [source, edge, target] for an edge
+// ([source, edge] for a self-loop pattern), flipped once more when
+// undirected. A row is an owned Embedding, or cells of the partition's
+// batch builder, which carries on across the label datasets, so batches
+// are cut where a scan of their union would cut them. A residual is
+// checked on the written row (speculatively, with a rollback, in the
+// builder) only when there is one. The loop itself allocates nothing
+// per element. `semantics` and `self_loop` apply to edges only.
+template <typename Set, typename Element, typename Query>
+Set RunScan(const dfl::DatasetList<Element>& elements, const Query& query,
+            const std::vector<cypher::CnfClause>& predicates,
+            const MorphismSetting& semantics, bool self_loop,
+            const EmbeddingMetaData& meta,
+            const std::vector<cypher::CnfClause>& residual, int batch_size,
+            const char* label) {
+  constexpr bool kRows = std::is_same_v<Set, EmbeddingSet>;
+  using Out = std::conditional_t<kRows, Embedding, EmbeddingBatch>;
+  assert(kRows || batch_size > 0);
+  const std::vector<std::string> projected =
+      ProjectedKeys(meta, query.variable);
+  const BoundClauses bound_residual(residual, meta);
+  const std::vector<uint8_t> flags = BatchColumnFlags(meta);
+  // Under vertex isomorphism a data self-loop cannot bind two distinct
+  // query vertices; the scan enforces it so that scan-only plans are
+  // already morphism-correct.
+  const bool drop_data_self_loops =
+      !self_loop && semantics.vertex == MatchSemantics::kIsomorphism;
+  common::CancellationToken& cancel = elements.context()->cancellation();
+  auto data = elements.template MapPartition<Out>(
+      [&](int /*partition*/, const dfl::ChainedPartition<Element>& src,
+          std::vector<Out>* out) {
+        auto sink = [&] {
+          if constexpr (kRows) {
+            return out;
+          } else {
+            return BatchOutput(flags, meta.property_column_count(),
+                               batch_size, out);
+          }
+        }();
+        static const epgm::PropertyValue kNull;
+        const Element* current = nullptr;
+        const auto resolve = [&](const std::string& var,
+                                 const std::string& key)
+            -> const epgm::PropertyValue& {
+          return var == query.variable ? current->properties.Get(key) : kNull;
+        };
+        const auto write = [&](std::initializer_list<uint64_t> ids) {
+          const epgm::Properties& properties = current->properties;
+          if constexpr (kRows) {
+            Embedding row;
+            for (const uint64_t id : ids) row.AppendId(id);
+            for (const std::string& key : projected) {
+              row.AppendProperty(properties.Get(key));
+            }
+            if (bound_residual.Passes(row)) out->push_back(std::move(row));
+          } else {
+            EmbeddingBatch& builder = sink.builder();
+            const bool checked = !bound_residual.empty();
+            const EmbeddingBatch::RowMark mark =
+                checked ? builder.Mark() : EmbeddingBatch::RowMark{};
+            int column = 0;
+            for (const uint64_t id : ids) builder.PushId(column++, id);
+            for (const std::string& key : projected) {
+              builder.PushProperty(properties.Get(key));
+            }
+            if (checked &&
+                !bound_residual.Passes(builder, sink.pending_row())) {
+              builder.Rollback(mark);
+              return;
+            }
+            sink.CommitRow();
+          }
+        };
+        for (const Element& e : src) {
+          if (cancel.CheckCancelled()) break;
+          if constexpr (std::is_same_v<Element, epgm::Vertex>) {
+            if (!query.MatchesLabel(e.label)) continue;
+          } else {
+            const bool data_self_loop = e.source_id == e.target_id;
+            if (!query.MatchesType(e.label) ||
+                (self_loop ? !data_self_loop
+                           : drop_data_self_loops && data_self_loop)) {
+              continue;
+            }
+          }
+          current = &e;
+          if (!predicates.empty() && !EvaluateClauses(predicates, resolve)) {
+            continue;
+          }
+          if constexpr (std::is_same_v<Element, epgm::Vertex>) {
+            write({e.id});
+          } else if (self_loop) {
+            write({e.source_id, e.id});
+          } else {
+            write({e.source_id, e.id, e.target_id});
+            // Undirected pattern: the edge also matches flipped (unless
+            // it is a data self-loop, which would duplicate).
+            if (query.any_direction && e.source_id != e.target_id) {
+              write({e.target_id, e.id, e.source_id});
+            }
+          }
+        }
+        if constexpr (!kRows) sink.Finish();
+      },
+      label);
+  return {std::move(data), meta};
+}
+
+}  // namespace
+
 EmbeddingSet SelectAndProjectVertices(
     const dataflow::DatasetList<epgm::Vertex>& vertices,
     const cypher::QueryVertex& query_vertex,
     const std::vector<cypher::CnfClause>& predicates,
     const EmbeddingMetaData& meta,
     const std::vector<cypher::CnfClause>& residual) {
-  const std::vector<std::string> projected =
-      ProjectedKeys(meta, query_vertex.variable);
-  common::CancellationToken& cancel = vertices.context()->cancellation();
-  auto data = vertices.MapPartition<Embedding>(
-      [&](int /*partition*/, const dfl::ChainedPartition<epgm::Vertex>& src,
-          std::vector<Embedding>* out) {
-        for (const epgm::Vertex& v : src) {
-          if (cancel.CheckCancelled()) break;
-          if (!query_vertex.MatchesLabel(v.label)) continue;
-          const auto resolver =
-              ElementResolver(query_vertex.variable, v.properties);
-          if (!EvaluateClauses(predicates, resolver)) continue;
-          Embedding e;
-          e.AppendId(v.id);
-          for (const std::string& key : projected) {
-            e.AppendProperty(v.properties.Get(key));
-          }
-          if (!PassesResidual(residual, meta, e)) continue;
-          out->push_back(std::move(e));
-        }
-      },
-      "SelectAndProjectVertices");
-  return {std::move(data), meta};
+  return RunScan<EmbeddingSet>(vertices, query_vertex, predicates, {}, false,
+                               meta, residual, 0, "SelectAndProjectVertices");
 }
 
 EmbeddingSet SelectAndProjectEdges(
@@ -78,50 +222,33 @@ EmbeddingSet SelectAndProjectEdges(
     const EmbeddingMetaData& meta,
     const std::vector<cypher::CnfClause>& residual) {
   assert(!query_edge.IsVariableLength());
-  // Under vertex isomorphism a data self-loop cannot bind two distinct
-  // query vertices; the scan enforces it so that scan-only plans are
-  // already morphism-correct.
-  const bool drop_data_self_loops =
-      !self_loop && semantics.vertex == MatchSemantics::kIsomorphism;
-  const std::vector<std::string> projected =
-      ProjectedKeys(meta, query_edge.variable);
-  const bool any_direction = query_edge.any_direction;
-  common::CancellationToken& cancel = edges.context()->cancellation();
-  auto data = edges.MapPartition<Embedding>(
-      [&](int /*partition*/, const dfl::ChainedPartition<epgm::Edge>& src,
-          std::vector<Embedding>* out) {
-        auto emit = [&](const epgm::Edge& edge, uint64_t source,
-                        uint64_t target) {
-          Embedding e;
-          e.AppendId(source);
-          e.AppendId(edge.id);
-          if (!self_loop) e.AppendId(target);
-          for (const std::string& key : projected) {
-            e.AppendProperty(edge.properties.Get(key));
-          }
-          if (!PassesResidual(residual, meta, e)) return;
-          out->push_back(std::move(e));
-        };
-        for (const epgm::Edge& edge : src) {
-          if (cancel.CheckCancelled()) break;
-          if (!query_edge.MatchesType(edge.label)) continue;
-          if (self_loop && edge.source_id != edge.target_id) continue;
-          if (drop_data_self_loops && edge.source_id == edge.target_id) {
-            continue;
-          }
-          const auto resolver =
-              ElementResolver(query_edge.variable, edge.properties);
-          if (!EvaluateClauses(predicates, resolver)) continue;
-          emit(edge, edge.source_id, edge.target_id);
-          // Undirected pattern: the edge also matches flipped (unless it
-          // is a data self-loop, which would duplicate).
-          if (any_direction && edge.source_id != edge.target_id) {
-            emit(edge, edge.target_id, edge.source_id);
-          }
-        }
-      },
-      "SelectAndProjectEdges");
-  return {std::move(data), meta};
+  return RunScan<EmbeddingSet>(edges, query_edge, predicates, semantics,
+                               self_loop, meta, residual, 0,
+                               "SelectAndProjectEdges");
+}
+
+BatchSet ScanVerticesBatch(const dataflow::DatasetList<epgm::Vertex>& vertices,
+                           const cypher::QueryVertex& query_vertex,
+                           const std::vector<cypher::CnfClause>& predicates,
+                           const EmbeddingMetaData& meta,
+                           const std::vector<cypher::CnfClause>& residual,
+                           int batch_size) {
+  return RunScan<BatchSet>(vertices, query_vertex, predicates, {}, false,
+                           meta, residual, batch_size,
+                           "SelectAndProjectVertices");
+}
+
+BatchSet ScanEdgesBatch(const dataflow::DatasetList<epgm::Edge>& edges,
+                        const cypher::QueryEdge& query_edge,
+                        const std::vector<cypher::CnfClause>& predicates,
+                        const MorphismSetting& semantics, bool self_loop,
+                        const EmbeddingMetaData& meta,
+                        const std::vector<cypher::CnfClause>& residual,
+                        int batch_size) {
+  assert(!query_edge.IsVariableLength());
+  return RunScan<BatchSet>(edges, query_edge, predicates, semantics,
+                           self_loop, meta, residual, batch_size,
+                           "SelectAndProjectEdges");
 }
 
 bool SatisfiesMorphism(const Embedding& embedding,
@@ -154,18 +281,19 @@ EmbeddingSet JoinEmbeddings(const EmbeddingSet& left,
                             const std::vector<cypher::CnfClause>& residual,
                             dataflow::JoinShuffleHints hints) {
   assert(left_columns.size() == right_columns.size());
+  const BoundClauses bound_residual(residual, merged_meta);
   auto data = left.data.HashJoin<Embedding>(
       right.data,
       [left_columns](const Embedding& e) { return JoinKeyOf(e, left_columns); },
       [right_columns](const Embedding& e) {
         return JoinKeyOf(e, right_columns);
       },
-      [merged_meta, semantics, residual](const Embedding& l,
-                                         const Embedding& r,
-                                         std::vector<Embedding>* out) {
+      [&merged_meta, semantics, &bound_residual](
+          const Embedding& l, const Embedding& r,
+          std::vector<Embedding>* out) {
         Embedding merged = Embedding::Merge(l, r);
         if (!SatisfiesMorphism(merged, merged_meta, semantics)) return;
-        if (!PassesResidual(residual, merged_meta, merged)) return;
+        if (!bound_residual.Passes(merged)) return;
         out->push_back(std::move(merged));
       },
       strategy, "JoinEmbeddings", hints);
@@ -218,6 +346,7 @@ EmbeddingSet ValueJoinEmbeddings(const EmbeddingSet& left,
         return ValueJoinKeyOf(e, right_key_columns).has_value();
       },
       "ValueJoinPruneRight");
+  const BoundClauses bound_residual(residual, merged_meta);
   auto data = left_data.HashJoin<Embedding>(
       right_data,
       [left_key_columns](const Embedding& e) {
@@ -226,12 +355,12 @@ EmbeddingSet ValueJoinEmbeddings(const EmbeddingSet& left,
       [right_key_columns](const Embedding& e) {
         return *ValueJoinKeyOf(e, right_key_columns);
       },
-      [merged_meta, semantics, residual](const Embedding& l,
-                                         const Embedding& r,
-                                         std::vector<Embedding>* out) {
+      [&merged_meta, semantics, &bound_residual](
+          const Embedding& l, const Embedding& r,
+          std::vector<Embedding>* out) {
         Embedding merged = Embedding::Merge(l, r);
         if (!SatisfiesMorphism(merged, merged_meta, semantics)) return;
-        if (!PassesResidual(residual, merged_meta, merged)) return;
+        if (!bound_residual.Passes(merged)) return;
         out->push_back(std::move(merged));
       },
       strategy, "ValueJoinEmbeddings", hints);
@@ -240,11 +369,9 @@ EmbeddingSet ValueJoinEmbeddings(const EmbeddingSet& left,
 
 EmbeddingSet SelectEmbeddings(const EmbeddingSet& input,
                               const std::vector<cypher::CnfClause>& clauses) {
-  const EmbeddingMetaData meta = input.meta;
+  const BoundClauses bound(clauses, input.meta);
   auto data = input.data.Filter(
-      [meta, clauses](const Embedding& e) {
-        return EvaluateClauses(clauses, meta.MakeResolver(e));
-      },
+      [&bound](const Embedding& e) { return bound.Passes(e); },
       "SelectEmbeddings");
   return {std::move(data), input.meta};
 }
@@ -333,7 +460,7 @@ struct ExpandSpec {
         lower_bound(lower),
         upper_bound(upper),
         morphism(semantics),
-        residual(residual_clauses),
+        residual(residual_clauses, meta),
         base_vertex_columns(input_meta.VertexColumns()),
         base_edge_columns(input_meta.EdgeColumns()),
         base_path_columns(input_meta.PathColumns()),
@@ -350,7 +477,7 @@ struct ExpandSpec {
   int lower_bound;
   int upper_bound;
   MorphismSetting morphism;
-  const std::vector<cypher::CnfClause>& residual;
+  BoundClauses residual;  // bound to result_meta
   // Columns of the *input* layout (the result meta additionally holds the
   // fresh path/end columns).
   std::vector<int> base_vertex_columns;
@@ -381,7 +508,7 @@ class RowPathWriter {
     return SatisfiesMorphism(pending_, spec_->result_meta, spec_->morphism);
   }
   bool PendingPassesResidual() const {
-    return PassesResidual(spec_->residual, spec_->result_meta, pending_);
+    return spec_->residual.Passes(pending_);
   }
   void Commit() { out_->push_back(std::move(pending_)); }
   void Rollback() {}
@@ -399,51 +526,31 @@ class RowPathWriter {
 // cells RowsToBatches would copy out of the row engine's Embedding. The
 // builder persists across hops and is cut at `batch_size` rows, so
 // batches break where a re-batching of the row engine's output breaks.
-class BatchPathWriter {
+class BatchPathWriter : public BatchOutput {
  public:
   BatchPathWriter(const ExpandSpec& spec, const std::vector<uint8_t>& flags,
                   int props, int batch_size, std::vector<EmbeddingBatch>* out)
-      : spec_(&spec),
-        flags_(&flags),
-        props_(props),
-        batch_size_(batch_size),
-        out_(out),
-        builder_(flags, props) {}
+      : BatchOutput(flags, props, batch_size, out), spec_(&spec) {}
 
   void Begin(const BatchRow& base, const std::vector<uint64_t>& via,
              uint64_t end) {
-    mark_ = builder_.Mark();
-    builder_.AppendRowCells(*base.batch, base.row, 0);
-    builder_.PushPath(spec_->path_column, via);
-    if (!spec_->end_bound) builder_.PushId(spec_->path_column + 1, end);
+    mark_ = builder().Mark();
+    builder().AppendRowCells(*base.batch, base.row, 0);
+    builder().PushPath(spec_->path_column, via);
+    if (!spec_->end_bound) builder().PushId(spec_->path_column + 1, end);
   }
   bool PendingSatisfiesMorphism() const {
-    return SatisfiesMorphism(builder_.RowAt(builder_.num_rows()),
+    return SatisfiesMorphism(builder().RowAt(pending_row()),
                              spec_->result_meta, spec_->morphism);
   }
   bool PendingPassesResidual() const {
-    return RowPassesClauses(spec_->residual, spec_->result_meta, builder_,
-                            builder_.num_rows());
+    return spec_->residual.Passes(builder(), pending_row());
   }
-  void Commit() {
-    builder_.CommitRow();
-    if (static_cast<int>(builder_.num_rows()) >= batch_size_) {
-      out_->push_back(std::move(builder_));
-      builder_ = EmbeddingBatch(*flags_, props_);
-    }
-  }
-  void Rollback() { builder_.Rollback(mark_); }
-  void Finish() {
-    if (builder_.num_rows() > 0) out_->push_back(std::move(builder_));
-  }
+  void Commit() { CommitRow(); }
+  void Rollback() { builder().Rollback(mark_); }
 
  private:
   const ExpandSpec* spec_;
-  const std::vector<uint8_t>* flags_;
-  int props_;
-  int batch_size_;
-  std::vector<EmbeddingBatch>* out_;
-  EmbeddingBatch builder_;
   EmbeddingBatch::RowMark mark_;
 };
 

@@ -14,6 +14,7 @@
 #include "epgm/adjacency_index.h"
 #include "epgm/elements.h"
 #include "query/embedding.h"
+#include "query/embedding_batch.h"
 #include "query/embedding_meta_data.h"
 #include "query/match_semantics.h"
 
@@ -30,8 +31,9 @@ struct EmbeddingSet {
 // The operator kernels below execute against column layouts resolved
 // ahead of time by exec::PlanCompiler — they never derive meta data
 // themselves. `residual` carries cross-variable clauses a fused filter
-// pushed into the operator; they are evaluated on each produced embedding
-// via the output meta's resolver before it is emitted.
+// pushed into the operator; they are bound to the output meta once per
+// call (BoundClauses below) and evaluated on each produced embedding
+// before it is emitted.
 
 // SelectAndProjectVertices: filters `vertices` — the per-label datasets
 // of the query vertex's label alternation, read in place — by that
@@ -146,27 +148,62 @@ EmbeddingSet ExpandEmbeddings(const EmbeddingSet& input,
 // (batch_operators.cc) kernels. Inline so the per-row calls stay
 // inlinable in both translation units.
 
-// Resolver over a raw element during leaf scans: only the scanned
-// variable's properties are in scope.
-inline cypher::ValueResolver ElementResolver(
-    std::string variable, const epgm::Properties& properties) {
-  // `properties` refers to the element being scanned and outlives the
-  // resolver's use within one FlatMap call; the variable name is copied.
-  return [variable = std::move(variable), &properties](
-             const std::string& var,
-             const std::string& key) -> epgm::PropertyValue {
-    if (var != variable) return epgm::PropertyValue::Null();
-    return properties.Get(key);
-  };
-}
-
-inline bool EvaluateClauses(const std::vector<cypher::CnfClause>& clauses,
-                            const cypher::ValueResolver& resolver) {
+// True iff every clause holds under `resolve` (cypher::EvaluateClauseWith).
+template <typename Resolve>
+bool EvaluateClauses(const std::vector<cypher::CnfClause>& clauses,
+                     const Resolve& resolve) {
   for (const cypher::CnfClause& clause : clauses) {
-    if (!cypher::EvaluateClause(clause, resolver)) return false;
+    if (!cypher::EvaluateClauseWith(clause, resolve)) return false;
   }
   return true;
 }
+
+// A clause list bound to the layout it is evaluated on, once per kernel
+// call: each `variable.key` the clauses read is looked up in the meta
+// data here, so evaluating a row probes a few entries instead of a
+// std::map per property access, and builds no resolver.
+class BoundClauses {
+ public:
+  BoundClauses(const std::vector<cypher::CnfClause>& clauses,
+               const EmbeddingMetaData& meta);
+
+  bool empty() const { return clauses_.empty(); }
+
+  // True iff every clause holds on a row whose property column c reads
+  // property_at(c).
+  template <typename PropertyAt>
+  bool Passes(const PropertyAt& property_at) const {
+    return EvaluateClauses(
+        clauses_, [&](const std::string& variable, const std::string& key) {
+          const int column = Column(variable, key);
+          return column < 0 ? epgm::PropertyValue() : property_at(column);
+        });
+  }
+  bool Passes(const Embedding& e) const {
+    return Passes([&e](int column) { return e.PropertyAt(column); });
+  }
+  // Also valid for a builder's pending row (cells pushed, CommitRow not
+  // yet called): the kernels check fused residuals speculatively.
+  bool Passes(const EmbeddingBatch& b, uint32_t row) const {
+    return Passes([&b, row](int column) { return b.PropertyAt(column, row); });
+  }
+
+ private:
+  struct Access {
+    std::string variable;
+    std::string key;
+    int column;  // -1 when the layout does not project it (reads NULL)
+  };
+  int Column(const std::string& variable, const std::string& key) const {
+    for (const Access& a : accesses_) {
+      if (a.key == key && a.variable == variable) return a.column;
+    }
+    return -1;
+  }
+
+  std::vector<cypher::CnfClause> clauses_;
+  std::vector<Access> accesses_;
+};
 
 // Projection keys for one scanned variable, read off the compiled meta.
 inline std::vector<std::string> ProjectedKeys(const EmbeddingMetaData& meta,

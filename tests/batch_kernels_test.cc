@@ -1,4 +1,4 @@
-// Kernel-level tests for the batch engine's join and convert kernels
+// Kernel-level tests for the batch engine's scan, join and convert kernels
 // (docs/vectorized.md, "Vectorized kernels"):
 //
 //   - the build+probe kernel, driven through JoinBatches and
@@ -17,7 +17,10 @@
 //     same rows, per-partition order and batch boundaries — and charge
 //     the same stages minus the two conversions; the per-partition order
 //     itself is pinned, and a cancel injected mid-hop must unwind with a
-//     drained accountant.
+//     drained accountant;
+//   - the batch leaf scans must emit, per partition, exactly the row
+//     scans' rows, cut into batches across label boundaries, and charge
+//     the same stage.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -1041,6 +1044,291 @@ TEST(BatchKernelsTest, ExpandCancelledMidHopDrainsTheAccountant) {
     token.Reset();
   }
   ctx->accountant().Disable();
+}
+
+// --- Leaf scans ----------------------------------------------------------
+
+cypher::CnfClause Clause(std::vector<cypher::ExpressionPtr> atoms) {
+  return cypher::CnfClause{std::move(atoms)};
+}
+
+cypher::ExpressionPtr Compare(cypher::ComparisonOp op, const std::string& var,
+                              const std::string& key,
+                              epgm::PropertyValue value) {
+  return cypher::Expression::Comparison(
+      op, cypher::Expression::PropertyAccess(var, key),
+      cypher::Expression::Literal(std::move(value)));
+}
+
+// Properties of the i-th element of a label dataset: `name` is missing on
+// every third element and `age` on every fourth, where it is a string on
+// another fourth (incomparable with numbers), so predicates meet NULLs and
+// the projection writes NULL cells.
+epgm::Properties ScanProperties(uint64_t i) {
+  epgm::Properties props;
+  if (i % 3 != 0) props.Set("name", "v" + std::to_string(i % 5));
+  if (i % 4 == 2) {
+    props.Set("age", "old");
+  } else if (i % 4 != 1) {
+    props.Set("age", static_cast<int64_t>(i % 50));
+  }
+  return props;
+}
+
+// One dataset per label, each of a different size, so label boundaries
+// fall mid-batch and mid-partition.
+std::vector<dataflow::Dataset<epgm::Vertex>> VertexLabels(
+    const dataflow::ExecutionContextPtr& ctx) {
+  std::vector<dataflow::Dataset<epgm::Vertex>> out;
+  const std::vector<std::string> labels = {"Person", "Post", "Comment",
+                                           "Forum"};
+  for (size_t l = 0; l < labels.size(); ++l) {
+    std::vector<epgm::Vertex> vertices;
+    for (uint64_t i = 0; i < 9 + 11 * l; ++i) {
+      vertices.emplace_back(100 * (l + 1) + i, labels[l], ScanProperties(i));
+    }
+    out.push_back(
+        dataflow::Dataset<epgm::Vertex>::FromVector(ctx, std::move(vertices)));
+  }
+  return out;
+}
+
+// Edges over vertices 1..8: parallel edges, both directions, and a data
+// self-loop on every fifth edge.
+std::vector<dataflow::Dataset<epgm::Edge>> EdgeLabels(
+    const dataflow::ExecutionContextPtr& ctx) {
+  std::vector<dataflow::Dataset<epgm::Edge>> out;
+  const std::vector<std::string> labels = {"knows", "likes", "hasCreator"};
+  for (size_t l = 0; l < labels.size(); ++l) {
+    std::vector<epgm::Edge> edges;
+    for (uint64_t i = 0; i < 13 + 6 * l; ++i) {
+      const uint64_t source = 1 + (i * 3 + l) % 8;
+      const uint64_t target = i % 5 == 0 ? source : 1 + (i * 5 + 2) % 8;
+      edges.emplace_back(1000 * (l + 1) + i, labels[l], source, target,
+                         ScanProperties(i));
+    }
+    out.push_back(
+        dataflow::Dataset<epgm::Edge>::FromVector(ctx, std::move(edges)));
+  }
+  return out;
+}
+
+// Runs a scan through both engines at batch sizes 1, 7 and 1024 and
+// asserts that BatchesToRows of the batch scan equals the row scan
+// element for element, per partition; that each partition's batches are
+// its rows cut every batch_size rows, whatever label they came from; and
+// that both engines charge the same stage. A narrow stage prices its
+// output records, which the batch engine counts in batches, so the
+// compute seconds agree only at batch size 1. Adds the rows scanned to
+// *emitted.
+template <typename ScanRowsFn, typename ScanBatchesFn>
+void ExpectScansAgree(const dataflow::ExecutionContextPtr& ctx,
+                      const std::string& name, const ScanRowsFn& scan_rows,
+                      const ScanBatchesFn& scan_batches, size_t* emitted) {
+  for (const int batch_size : {1, 7, 1024}) {
+    const std::string what = name + " batch_size=" + std::to_string(batch_size);
+    size_t mark = ctx->tracker().Stages().size();
+    const EmbeddingSet rows = scan_rows();
+    const std::vector<dataflow::StageCost> row_stages = StagesSince(*ctx, mark);
+    mark = ctx->tracker().Stages().size();
+    const BatchSet batches = scan_batches(batch_size);
+    const std::vector<dataflow::StageCost> batch_stages =
+        StagesSince(*ctx, mark);
+    const EmbeddingSet converted = BatchesToRows(batches);
+    const auto got = PartitionBatches(batches);
+    ASSERT_EQ(converted.data.num_partitions(), rows.data.num_partitions());
+    for (int p = 0; p < rows.data.num_partitions(); ++p) {
+      const std::vector<Embedding>& want = rows.data.partition(p);
+      const std::vector<Embedding>& have = converted.data.partition(p);
+      ASSERT_EQ(have.size(), want.size()) << what << " partition " << p;
+      for (size_t r = 0; r < want.size(); ++r) {
+        ASSERT_TRUE(have[r] == want[r])
+            << what << " partition " << p << " row " << r << ": "
+            << have[r].ToString() << " vs " << want[r].ToString();
+      }
+      ExpectSameBatches(got[p], Chunk(want, batch_size),
+                        what + " partition " + std::to_string(p));
+      *emitted += want.size();
+    }
+    ASSERT_EQ(row_stages.size(), 1u) << what;
+    ASSERT_EQ(batch_stages.size(), 1u) << what;
+    const dataflow::StageCost& r = row_stages[0];
+    const dataflow::StageCost& b = batch_stages[0];
+    EXPECT_EQ(b.label, r.label) << what;
+    EXPECT_EQ(b.network_sec, r.network_sec) << what;
+    EXPECT_EQ(b.spill_sec, r.spill_sec) << what;
+    EXPECT_EQ(b.latency_sec, r.latency_sec) << what;
+    if (batch_size == 1) {
+      EXPECT_EQ(b.compute_sec, r.compute_sec) << what;
+    }
+  }
+}
+
+TEST(BatchKernelsTest, VertexScanMatchesTheRowScan) {
+  const auto ctx = FourWorkers();
+  const auto labels = VertexLabels(ctx);
+  const dataflow::DatasetList<epgm::Vertex> all(ctx, labels);
+  const dataflow::DatasetList<epgm::Vertex> none(ctx, {});
+  using cypher::ComparisonOp;
+  struct Case {
+    std::string name;
+    const dataflow::DatasetList<epgm::Vertex>* list;
+    std::vector<std::string> labels;
+    std::vector<cypher::CnfClause> predicates;
+    std::vector<std::string> projection;
+    std::vector<cypher::CnfClause> residual;
+  };
+  const std::vector<Case> cases = {
+      {"alternation", &all, {"Person", "Post"}, {}, {"name", "age"}, {}},
+      {"predicates and residual",
+       &all,
+       {"Comment", "Person"},
+       {Clause({Compare(ComparisonOp::kGt, "n", "age", int64_t{3})}),
+        Clause({Compare(ComparisonOp::kEq, "n", "name", "v1"),
+                Compare(ComparisonOp::kLt, "n", "age", int64_t{30})})},
+       {"name", "ghost"},
+       {Clause({Compare(ComparisonOp::kNeq, "n", "name", "v3")})}},
+      {"any label",
+       &all,
+       {},
+       {Clause({Compare(ComparisonOp::kLte, "n", "age", int64_t{20})})},
+       {},
+       {}},
+      {"empty label list", &none, {"Post"}, {}, {"name"}, {}},
+  };
+  size_t emitted = 0;
+  for (const Case& c : cases) {
+    cypher::QueryVertex qv;
+    qv.variable = "n";
+    qv.labels = c.labels;
+    EmbeddingMetaData meta;
+    meta.AddIdColumn("n", EntryType::kVertex);
+    for (const std::string& key : c.projection) {
+      meta.AddPropertyColumn("n", key);
+    }
+    ExpectScansAgree(
+        ctx, c.name,
+        [&] {
+          return SelectAndProjectVertices(*c.list, qv, c.predicates, meta,
+                                          c.residual);
+        },
+        [&](int batch_size) {
+          return ScanVerticesBatch(*c.list, qv, c.predicates, meta,
+                                   c.residual, batch_size);
+        },
+        &emitted);
+  }
+  EXPECT_GT(emitted, 0u);
+}
+
+TEST(BatchKernelsTest, EdgeScanMatchesTheRowScan) {
+  const auto ctx = FourWorkers();
+  const auto labels = EdgeLabels(ctx);
+  const dataflow::DatasetList<epgm::Edge> all(ctx, labels);
+  const dataflow::DatasetList<epgm::Edge> none(ctx, {});
+  using cypher::ComparisonOp;
+  struct Case {
+    std::string name;
+    const dataflow::DatasetList<epgm::Edge>* list;
+    std::vector<std::string> types;
+    bool any_direction;
+    bool self_loop;
+    std::vector<cypher::CnfClause> predicates;
+    std::vector<std::string> projection;
+    std::vector<cypher::CnfClause> residual;
+  };
+  const std::vector<Case> cases = {
+      {"directed", &all, {"knows", "hasCreator"}, false, false, {}, {"age"},
+       {}},
+      {"undirected with predicates and residual",
+       &all,
+       {"likes", "knows"},
+       true,
+       false,
+       {Clause({Compare(ComparisonOp::kGte, "e", "age", int64_t{2})})},
+       {"name", "age"},
+       {Clause({Compare(ComparisonOp::kNeq, "e", "name", "v2")})}},
+      {"self-loop pattern", &all, {}, false, true, {}, {"name"}, {}},
+      {"undirected self-loop pattern", &all, {"hasCreator"}, true, true,
+       {Clause({Compare(ComparisonOp::kLt, "e", "age", int64_t{40})})},
+       {}, {}},
+      {"empty label list", &none, {"knows"}, true, false, {}, {"age"}, {}},
+  };
+  // Vertex isomorphism drops data self-loops from non-loop patterns;
+  // homomorphism keeps them.
+  const MorphismSetting settings[] = {MorphismSetting::FullIsomorphism(),
+                                      MorphismSetting::FullHomomorphism()};
+  size_t emitted = 0;
+  for (const Case& c : cases) {
+    for (const MorphismSetting& semantics : settings) {
+      cypher::QueryEdge qe;
+      qe.variable = "e";
+      qe.types = c.types;
+      qe.any_direction = c.any_direction;
+      EmbeddingMetaData meta;
+      meta.AddIdColumn("s", EntryType::kVertex);
+      meta.AddIdColumn("e", EntryType::kEdge);
+      if (!c.self_loop) meta.AddIdColumn("t", EntryType::kVertex);
+      for (const std::string& key : c.projection) {
+        meta.AddPropertyColumn("e", key);
+      }
+      ExpectScansAgree(
+          ctx,
+          c.name + " vertex_iso=" +
+              std::to_string(semantics.vertex == MatchSemantics::kIsomorphism),
+          [&] {
+            return SelectAndProjectEdges(*c.list, qe, c.predicates, semantics,
+                                         c.self_loop, meta, c.residual);
+          },
+          [&](int batch_size) {
+            return ScanEdgesBatch(*c.list, qe, c.predicates, semantics,
+                                  c.self_loop, meta, c.residual, batch_size);
+          },
+          &emitted);
+    }
+  }
+  EXPECT_GT(emitted, 0u);
+}
+
+TEST(BatchKernelsTest, EdgeScanAppliesTheSelfLoopRules) {
+  const auto ctx = OneWorker();
+  const dataflow::DatasetList<epgm::Edge> edges(
+      dataflow::Dataset<epgm::Edge>::FromVector(
+          ctx, {epgm::Edge(10, "knows", 1, 2), epgm::Edge(11, "knows", 3, 3)}));
+  cypher::QueryEdge qe;
+  qe.variable = "e";
+  qe.any_direction = true;
+  EmbeddingMetaData meta;
+  meta.AddIdColumn("s", EntryType::kVertex);
+  meta.AddIdColumn("e", EntryType::kEdge);
+  EmbeddingMetaData loop_meta = meta;
+  meta.AddIdColumn("t", EntryType::kVertex);
+  const auto ids = [](const BatchSet& set) {
+    std::vector<std::vector<uint64_t>> out;
+    for (const std::vector<Embedding>& batch : BatchRows(set)) {
+      for (const Embedding& row : batch) {
+        std::vector<uint64_t> r;
+        for (int c = 0; c < row.NumIdEntries(); ++c) r.push_back(row.IdAt(c));
+        out.push_back(std::move(r));
+      }
+    }
+    return out;
+  };
+  using Rows = std::vector<std::vector<uint64_t>>;
+  // Undirected: the edge matches both ways, the data self-loop only once.
+  EXPECT_EQ(ids(ScanEdgesBatch(edges, qe, {}, MorphismSetting::Neo4j(),
+                               false, meta, {}, 7)),
+            (Rows{{1, 10, 2}, {2, 10, 1}, {3, 11, 3}}));
+  // Vertex isomorphism: a data self-loop cannot bind two query vertices.
+  EXPECT_EQ(ids(ScanEdgesBatch(edges, qe, {},
+                               MorphismSetting::FullIsomorphism(), false,
+                               meta, {}, 7)),
+            (Rows{{1, 10, 2}, {2, 10, 1}}));
+  // A self-loop pattern keeps only data self-loops, once, in two columns.
+  EXPECT_EQ(ids(ScanEdgesBatch(edges, qe, {},
+                               MorphismSetting::FullIsomorphism(), true,
+                               loop_meta, {}, 7)),
+            (Rows{{3, 11}}));
 }
 
 }  // namespace

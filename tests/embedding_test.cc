@@ -2,6 +2,7 @@
 
 #include "query/embedding.h"
 #include "query/embedding_meta_data.h"
+#include "query/operators.h"
 
 namespace gradoop::query {
 namespace {
@@ -252,17 +253,36 @@ TEST(MetaDataTest, MergeSharedVariableKeepsLeftColumn) {
   EXPECT_EQ(merged.VertexColumns().size(), 2u);
 }
 
-TEST(MetaDataTest, ResolverReadsProjectedProperties) {
+TEST(MetaDataTest, BoundClausesReadProjectedProperties) {
   EmbeddingMetaData meta;
   meta.AddIdColumn("p", EntryType::kVertex);
   meta.AddPropertyColumn("p", "name");
   Embedding e;
   e.AppendId(10);
   e.AppendProperty(PropertyValue("Alice"));
-  const auto resolver = meta.MakeResolver(e);
-  EXPECT_EQ(resolver("p", "name"), PropertyValue("Alice"));
-  EXPECT_TRUE(resolver("p", "ghost").is_null());
-  EXPECT_TRUE(resolver("q", "name").is_null());
+  const auto equals = [](const std::string& var, const std::string& key,
+                         PropertyValue value) {
+    return std::vector<cypher::CnfClause>{cypher::CnfClause{
+        {cypher::Expression::Comparison(
+            cypher::ComparisonOp::kEq,
+            cypher::Expression::PropertyAccess(var, key),
+            cypher::Expression::Literal(std::move(value)))}}};
+  };
+  EXPECT_TRUE(BoundClauses(equals("p", "name", "Alice"), meta).Passes(e));
+  EXPECT_FALSE(BoundClauses(equals("p", "name", "Bob"), meta).Passes(e));
+  // An unprojected property and an unbound variable read NULL, so an
+  // equality on them is never true.
+  EXPECT_FALSE(BoundClauses(equals("p", "ghost", "Alice"), meta).Passes(e));
+  EXPECT_FALSE(BoundClauses(equals("q", "name", "Alice"), meta).Passes(e));
+  EXPECT_TRUE(BoundClauses({}, meta).Passes(e));
+  // The batch form reads the same cells, pending rows included.
+  EmbeddingBatch b({Embedding::kIdFlag}, 1);
+  b.PushId(0, 10);
+  b.PushProperty(PropertyValue("Alice"));
+  EXPECT_TRUE(BoundClauses(equals("p", "name", "Alice"), meta).Passes(b, 0));
+  b.CommitRow();
+  EXPECT_TRUE(BoundClauses(equals("p", "name", "Alice"), meta).Passes(b, 0));
+  EXPECT_FALSE(BoundClauses(equals("p", "name", "Bob"), meta).Passes(b, 0));
 }
 
 }  // namespace

@@ -248,14 +248,19 @@ TEST(OracleExpandTest, BothEnginesMatchNaiveMatcher) {
 // Scans read the per-label datasets of a label or type alternation — or
 // every label's, for an unlabeled vertex or untyped edge — in place, in
 // list order. These cases cover an unlabeled vertex with an untyped edge,
-// alternations naming a label and a type the graph lacks, and
-// alternations at 7-row batches, whose batches straddle label boundaries.
+// alternations naming a label and a type the graph lacks, alternations
+// at 7-row batches, whose batches straddle label boundaries, and
+// alternations repeating a label or type, which must match each element
+// once.
 const OracleCase kScanInputQueries[] = {
     {"unlabeled_untyped", "MATCH (a)-[e]->(b) RETURN *"},
     {"absent_label",
      "MATCH (a:Tag|NoSuchLabel)<-[e:likes|noSuchType]-(b) RETURN *"},
     {"alternation",
      "MATCH (a:Person|Tag)-[e:knows|likes]->(b:Tag|Person) RETURN *"},
+    {"repeated_label", "MATCH (a:Tag|Tag) RETURN *"},
+    {"repeated_type",
+     "MATCH (a:Person|Tag|Person)-[e:likes|knows|likes]->(b) RETURN *"},
 };
 
 TEST(OracleScanInputTest, BothEnginesMatchNaiveMatcher) {

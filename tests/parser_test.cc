@@ -31,6 +31,18 @@ TEST(ParserTest, LabelAlternation) {
             (std::vector<std::string>{"Comment", "Post"}));
 }
 
+TEST(ParserTest, RepeatedLabelsKeepTheirFirstOccurrence) {
+  CypherQuery q = MustParse(
+      "MATCH (m:Post|Comment|Post)-[e:knows|likes|knows|knows]->(n:Post|Post) "
+      "RETURN *");
+  EXPECT_EQ(q.paths[0].start.labels,
+            (std::vector<std::string>{"Post", "Comment"}));
+  EXPECT_EQ(q.paths[0].steps[0].first.types,
+            (std::vector<std::string>{"knows", "likes"}));
+  EXPECT_EQ(q.paths[0].steps[0].second.labels,
+            (std::vector<std::string>{"Post"}));
+}
+
 TEST(ParserTest, AnonymousNodeGetsFreshVariable) {
   CypherQuery q = MustParse("MATCH (:Person)-[:knows]->() RETURN *");
   EXPECT_FALSE(q.paths[0].start.variable.empty());
