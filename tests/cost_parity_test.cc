@@ -1,15 +1,19 @@
-// Pins the simulated cost model of four LDBC queries: the paper's figures
-// are computed from these charges, so a change to how records move on the
-// host must leave every one of them bit-identical. Q1 scans a vertex label
-// alternation (Comment|Post), Q4 an edge type alternation
-// (hasMember|hasModerator) feeding broadcast joins, and Q2
-// (replyOf*0..10) and Q3 (replyOf*1..10) fold Expand hops. All run at
-// scale factor 0.05 (generator seed 42) under both engines with telemetry
-// and memory accounting on; the test compares simulated seconds (exactly,
-// as a hex float), network bytes, records, each operator's measured peak
-// and the shuffle counters against the values below. The wall-clock
-// baseline gate tolerates 10% and would let a drift through. Re-capture
-// with
+// Pins the simulated cost model of the six LDBC queries: the paper's
+// figures are computed from these charges, so a change to how records
+// move on the host must leave every one of them bit-identical. Q1 scans a
+// vertex label alternation (Comment|Post), Q4 an edge type alternation
+// (hasMember|hasModerator) feeding broadcast joins, Q2 (replyOf*0..10)
+// and Q3 (replyOf*1..10) fold Expand hops, and Q5 and Q6 join on two
+// columns. With broadcast allowed every join at this scale broadcasts its
+// build side, so the *_no_broadcast cases pin the repartition paths: the
+// batch scatter, two-column repartition keys (Q5, Q6) and sides adopted
+// in place because the partitioning analysis proved them co-partitioned
+// (Q4, Q5, Q6). All run at scale factor 0.05 (generator seed 42) with
+// telemetry and memory accounting on; the test compares simulated seconds
+// (exactly, as a hex float), network bytes, records, the shuffle and
+// elided-shuffle counters and each operator's measured peak against the
+// values below. The wall-clock baseline gate tolerates 10% and would let a
+// drift through. Re-capture with
 //
 //   GRADOOP_PRINT_PARITY=1 ./cost_parity_test
 //
@@ -43,6 +47,8 @@ struct CostFigures {
   uint64_t records = 0;
   uint64_t shuffle_count = 0;
   uint64_t shuffle_bytes = 0;
+  uint64_t elided_count = 0;  // shuffles adopted in place
+  uint64_t elided_bytes = 0;
   std::vector<uint64_t> operator_peaks;  // pre-order over the plan
 
   bool operator==(const CostFigures&) const = default;
@@ -53,6 +59,8 @@ struct ParityCase {
   std::string query;
   PlannerOptions::ExecutionEngine engine;
   CostFigures expected;
+  // false: every join scatters its sides or adopts an elided one.
+  bool allow_broadcast = true;
 };
 
 void CollectPeaks(const exec::PhysicalOperator& op, std::vector<uint64_t>* out) {
@@ -65,6 +73,7 @@ void CollectPeaks(const exec::PhysicalOperator& op, std::vector<uint64_t>* out) 
 CostFigures Measure(CypherEngine& engine, dataflow::ExecutionContext& ctx,
                     const ParityCase& c) {
   engine.planner_options().engine = c.engine;
+  engine.planner_options().allow_broadcast = c.allow_broadcast;
   ctx.tracker().Reset();
   ctx.telemetry().ResetData();
   auto result = engine.Execute(c.query);
@@ -82,18 +91,22 @@ CostFigures Measure(CypherEngine& engine, dataflow::ExecutionContext& ctx,
   };
   f.shuffle_count = counter("shuffle.count");
   f.shuffle_bytes = counter("shuffle.bytes");
+  f.elided_count = counter("shuffle.elided.count");
+  f.elided_bytes = counter("shuffle.elided.bytes");
   CollectPeaks(*result.value().physical, &f.operator_peaks);
   return f;
 }
 
 std::string Render(const CostFigures& f) {
   char head[256];
-  std::snprintf(head, sizeof(head), "{%a, %llu, %llu, %llu, %llu, {",
-                f.simulated_sec,
+  std::snprintf(head, sizeof(head),
+                "{%a, %llu, %llu, %llu, %llu, %llu, %llu, {", f.simulated_sec,
                 static_cast<unsigned long long>(f.network_bytes),
                 static_cast<unsigned long long>(f.records),
                 static_cast<unsigned long long>(f.shuffle_count),
-                static_cast<unsigned long long>(f.shuffle_bytes));
+                static_cast<unsigned long long>(f.shuffle_bytes),
+                static_cast<unsigned long long>(f.elided_count),
+                static_cast<unsigned long long>(f.elided_bytes));
   std::string out = head;
   for (size_t i = 0; i < f.operator_peaks.size(); ++i) {
     if (i > 0) out += ", ";
@@ -106,33 +119,78 @@ std::vector<ParityCase> Cases() {
   using Engine = PlannerOptions::ExecutionEngine;
   return {
       {"q1_row", ldbc::Query1("Alice"), Engine::kRow,
-       {0x1.b3830481c4e6ap-3, 5733, 3200, 2, 5733,
+       {0x1.b3830481c4e6ap-3, 5733, 3200, 2, 5733, 0, 0,
         {95251, 36680, 58571, 27300, 231}}},
       {"q1_batch", ldbc::Query1("Alice"), Engine::kBatch,
-       {0x1.7b200c39f5194p-3, 4068, 1560, 2, 4068,
+       {0x1.7b200c39f5194p-3, 4068, 1560, 2, 4068, 0, 0,
         {92656, 38848, 37348, 16876, 156}}},
       {"q4_row", ldbc::Query4(), Engine::kRow,
-       {0x1.20eb148b7d4c3p-1, 90585, 4208, 8, 90585,
+       {0x1.20eb148b7d4c3p-1, 90585, 4208, 8, 90585, 0, 0,
         {116814, 82120, 18057, 50110, 50110, 3081, 42474, 1841, 40633, 3900,
          29237, 29237, 4922, 1677, 185, 716, 3780}}},
       {"q4_batch", ldbc::Query4(), Engine::kBatch,
-       {0x1.13bb29e226a63p-1, 93261, 1188, 8, 93261,
+       {0x1.13bb29e226a63p-1, 93261, 1188, 8, 93261, 0, 0,
         {118654, 71662, 11188, 50757, 50757, 1972, 43296, 1659, 39710, 2476,
          27128, 27128, 5290, 1108, 228, 684, 3348}}},
       {"q2_row", ldbc::Query2("Alice"), Engine::kRow,
-       {0x1.a460fd9bcca4cp-1, 122699, 9375, 13, 144779,
+       {0x1.a460fd9bcca4cp-1, 122699, 9375, 13, 144779, 0, 0,
         {169062, 95251, 95251, 36680, 58571, 27300, 231, 15190}}},
       {"q2_batch", ldbc::Query2("Alice"), Engine::kBatch,
-       {0x1.8c152b0a6fc59p-1, 123938, 6160, 13, 146018,
+       {0x1.8c152b0a6fc59p-1, 123938, 6160, 13, 146018, 0, 0,
         {173678, 92656, 92656, 38848, 37348, 16876, 156, 16158}}},
       {"q3_row", ldbc::Query3("Alice"), Engine::kRow,
-       {0x1.71c8a6f851e0ap+0, 1036511, 29177, 18, 1211317,
+       {0x1.71c8a6f851e0ap+0, 1036511, 29177, 18, 1211317, 0, 0,
         {558292, 11290, 547002, 547002, 27300, 519702, 8400, 105602, 27300,
          34798, 4922, 27557, 10998, 549}}},
       {"q3_batch", ldbc::Query3("Alice"), Engine::kBatch,
-       {0x1.49a4d1dc00465p+0, 1073396, 19336, 18, 1248202,
+       {0x1.49a4d1dc00465p+0, 1073396, 19336, 18, 1248202, 0, 0,
         {567972, 9858, 558114, 558114, 16876, 541238, 3268, 102207, 16876,
          35934, 5290, 19754, 6844, 650}}},
+      {"q5_row", ldbc::Query5(), Engine::kRow,
+       {0x1.c68e9f9587106p-2, 173796, 9376, 5, 173796, 0, 0,
+        {430400, 223700, 72206, 10998, 4922, 72206, 10998, 4922, 72206, 10998,
+         4922}}},
+      {"q5_batch", ldbc::Query5(), Engine::kBatch,
+       {0x1.71662ede0ee97p-2, 177588, 1290, 5, 177588, 0, 0,
+        {452256, 224260, 65738, 6844, 5290, 65738, 6844, 5290, 65738, 6844,
+         5290}}},
+      {"q6_row", ldbc::Query6(), Engine::kRow,
+       {0x1.57696e02bcf3dp-1, 308886, 17336, 7, 308886, 0, 0,
+        {543972, 80614, 18057, 3780, 513962, 229216, 18057, 79388, 72206, 10998,
+         4922, 2100, 72214, 18057, 2100}}},
+      {"q6_batch", ldbc::Query6(), Engine::kBatch,
+       {0x1.049fc4d6df1f6p-1, 272028, 2271, 7, 272028, 0, 0,
+        {493812, 64716, 11188, 3348, 467426, 214488, 11188, 73388, 65738, 6844,
+         5290, 868, 52316, 11188, 868}}},
+      {"q1_batch_no_broadcast", ldbc::Query1("Alice"), Engine::kBatch,
+       {0x1.cf22bd6f36c4ap-3, 42885, 1582, 4, 57774, 0, 0,
+        {82700, 38848, 35098, 16876, 156}},
+       false},
+      {"q4_batch_no_broadcast", ldbc::Query4(), Engine::kBatch,
+       {0x1.520fe67cf7219p-1, 72725, 1247, 14, 94133, 2, 7784,
+        {89998, 57330, 11188, 22087, 22087, 22087, 1659, 20428, 1972, 18456,
+         2476, 15980, 5290, 1108, 684, 228, 3348}},
+       false},
+      {"q5_row_no_broadcast", ldbc::Query5(), Engine::kRow,
+       {0x1.13076c050bd88p-1, 162091, 8516, 9, 216225, 1, 21644,
+        {311690, 168587, 38240, 10998, 4922, 38240, 10998, 4922, 38240, 10998,
+         4922}},
+       false},
+      {"q5_batch_no_broadcast", ldbc::Query5(), Engine::kBatch,
+       {0x1.c47f912fbdb2ep-2, 163474, 1354, 9, 217819, 1, 21724,
+        {333834, 179475, 33858, 6844, 5290, 33858, 6844, 5290, 33736, 6844,
+         5290}},
+       false},
+      {"q6_row_no_broadcast", ldbc::Query6(), Engine::kRow,
+       {0x1.a742b0a9ab8abp-1, 252430, 16417, 13, 337760, 1, 24182,
+        {388404, 51847, 18057, 3780, 358394, 184396, 18057, 53888, 38240, 10998,
+         4922, 2100, 46714, 18057, 2100}},
+       false},
+      {"q6_batch_no_broadcast", ldbc::Query6(), Engine::kBatch,
+       {0x1.45c0ac2d1a147p-1, 220648, 2367, 13, 295491, 1, 23984,
+        {360756, 40922, 11188, 3348, 334370, 172381, 11188, 52028, 33858, 6844,
+         5290, 868, 30944, 11188, 868}},
+       false},
   };
 }
 

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -23,6 +24,7 @@
 #include "dataflow/partitioning_audit.h"
 #include "ldbc/ldbc_generator.h"
 #include "ldbc/queries.h"
+#include "query/batch_operators.h"
 #include "query/cypher_engine.h"
 #include "query/planner.h"
 
@@ -253,6 +255,72 @@ TEST(PartitioningAuditTest, CorrectlyPlacedElidedInputPassesTheAudit) {
       {/*left_prepartitioned=*/true, /*right_prepartitioned=*/false});
   unsetenv("GRADOOP_AUDIT_PARTITIONING");
   EXPECT_EQ(join.Collect().size(), 64u);
+  EXPECT_EQ(stats.checks(), 1u);
+  EXPECT_EQ(stats.records_checked(), 64u);
+  EXPECT_EQ(stats.misplaced_records(), 0u);
+}
+
+// The batch join's elided side: `rows` two-column rows (k, own) with k =
+// 1..rows, each in the partition std::hash of its 8-byte key bytes names
+// — the placement the batch scatter and the row engine share — except
+// that row `stray` (if any) sits one partition further on. Cut into
+// batches of 5 rows.
+BatchSet PlacedBatches(const dataflow::ExecutionContextPtr& ctx,
+                       const EmbeddingMetaData& meta, uint64_t rows,
+                       uint64_t stray) {
+  const size_t p = static_cast<size_t>(ctx->num_workers());
+  auto parts = std::make_shared<dataflow::Dataset<Embedding>::Partitions>(p);
+  for (uint64_t k = 1; k <= rows; ++k) {
+    char bytes[8];
+    std::memcpy(bytes, &k, 8);
+    size_t target = std::hash<std::string>()(std::string(bytes, 8)) % p;
+    if (k == stray) target = (target + 1) % p;
+    Embedding row;
+    row.AppendId(k);
+    row.AppendId(1000 + k);
+    (*parts)[target].push_back(std::move(row));
+  }
+  return RowsToBatches({dataflow::Dataset<Embedding>(ctx, parts), meta},
+                       /*batch_size=*/5);
+}
+
+// JoinBatches of two 64-row sides on their first column, the left side
+// adopted as co-partitioned; left row `stray` is misplaced.
+BatchSet JoinWithAdoptedLeft(uint64_t stray) {
+  auto ctx = dataflow::MakeContext();
+  EmbeddingMetaData left_meta;
+  left_meta.AddIdColumn("k", EntryType::kVertex);
+  left_meta.AddIdColumn("l", EntryType::kVertex);
+  EmbeddingMetaData right_meta;
+  right_meta.AddIdColumn("k", EntryType::kVertex);
+  right_meta.AddIdColumn("r", EntryType::kVertex);
+  return JoinBatches(PlacedBatches(ctx, left_meta, 64, stray),
+                     PlacedBatches(ctx, right_meta, 64, 0), {0}, {0},
+                     EmbeddingMetaData::Merge(left_meta, right_meta),
+                     MorphismSetting::FullHomomorphism(),
+                     dataflow::JoinStrategy::kRepartition, {},
+                     {/*left_prepartitioned=*/true,
+                      /*right_prepartitioned=*/false},
+                     /*batch_size=*/5);
+}
+
+TEST(PartitioningAuditDeathTest, BatchAuditAbortsOnOneMisplacedRow) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto run = [] {
+    setenv("GRADOOP_AUDIT_PARTITIONING", "1", 1);
+    (void)JoinWithAdoptedLeft(/*stray=*/17);
+  };
+  EXPECT_DEATH(run(), "partitioning audit FAILED");
+}
+
+TEST(PartitioningAuditTest, CorrectlyPlacedElidedBatchesPassTheAudit) {
+  setenv("GRADOOP_AUDIT_PARTITIONING", "1", 1);
+  PartitioningAuditStats& stats = PartitioningAuditStats::Instance();
+  stats.Reset();
+  const BatchSet joined = JoinWithAdoptedLeft(/*stray=*/0);
+  unsetenv("GRADOOP_AUDIT_PARTITIONING");
+  EXPECT_EQ(CountBatchRows(joined), 64u);
+  // The audit re-hashes rows, not batches.
   EXPECT_EQ(stats.checks(), 1u);
   EXPECT_EQ(stats.records_checked(), 64u);
   EXPECT_EQ(stats.misplaced_records(), 0u);
