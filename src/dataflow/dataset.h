@@ -41,12 +41,52 @@ struct JoinShuffleHints {
   bool right_prepartitioned = false;
 };
 
-// Per-partition state a ZipPartitions callback built transiently (its
-// hash table, for a join): priced by the spill model and charged to the
-// memory accountant exactly like HashJoin's build side.
-struct ZipPartitionStats {
+// The build state one worker's join kernel held (its hash table): priced
+// by the spill model, and its entries charged to the memory accountant.
+struct BuildSideStats {
   uint64_t state_bytes = 0;
-  uint64_t state_records = 0;
+  uint64_t state_records = 0;  // table entries
+};
+
+// A placement policy says how a record of a shuffled side reaches its
+// worker. Dataset::EquiJoin and Dataset::Repartition copy the policy into
+// every routing task, so any scratch it keeps is private to the task.
+//   Route(rec, p, emit)    calls emit(target, piece) for each piece of
+//                          `rec` bound for worker `target`, in order; a
+//                          piece is `rec` itself or a new record (emit
+//                          takes it by move).
+//   ForEachRow(rec, p, fn) calls fn(target) with the worker each row of
+//                          `rec` belongs to: the partitioning audit's check.
+//   Rows(rec)              the number of rows `rec` holds.
+// KeyPlacement moves each record whole to std::hash(key(rec)) % p; the
+// batch engine splits its column batches row by row
+// (query/batch_operators.cc).
+template <typename KeyFn>
+class KeyPlacement {
+ public:
+  explicit KeyPlacement(KeyFn key) : key_(std::move(key)) {}
+
+  template <typename Rec, typename Emit>
+  void Route(const Rec& rec, size_t p, Emit&& emit) const {
+    emit(static_cast<int>(TargetOf(rec, p)), rec);
+  }
+  template <typename Rec, typename Fn>
+  void ForEachRow(const Rec& rec, size_t p, Fn&& fn) const {
+    fn(TargetOf(rec, p));
+  }
+  template <typename Rec>
+  static uint64_t Rows(const Rec& /*rec*/) {
+    return 1;
+  }
+
+ private:
+  template <typename Rec>
+  size_t TargetOf(const Rec& rec, size_t p) const {
+    using K = std::decay_t<std::invoke_result_t<const KeyFn&, const Rec&>>;
+    return std::hash<K>()(key_(rec)) % p;
+  }
+
+  KeyFn key_;
 };
 
 // Partition p of several datasets read in place, in list order: a range
@@ -116,8 +156,8 @@ class ChainedPartition {
 // Dataset values are cheap shared handles; transformations return new
 // datasets and never mutate their input. A record the cost model keeps
 // in place is read in place on the host; records are copied only by
-// Filter and Distinct (survivors), Union, Collect, the hash exchanges
-// and Replicate. docs/INTERNALS.md tabulates every operation.
+// Filter and Distinct (survivors), Union, Collect and the hash exchanges.
+// docs/INTERNALS.md tabulates every operation.
 template <typename T>
 class Dataset {
  public:
@@ -222,34 +262,21 @@ class Dataset {
   Dataset<U> FlatMap(F fn, const char* label = "FlatMap") const {
     auto out = std::make_shared<typename Dataset<U>::Partitions>(
         num_partitions());
-    FlatMapInto<U>(fn, out.get(), label);
-    return Dataset<U>(ctx_, std::move(out));
-  }
-
-  // FlatMap that appends to caller-owned partitions `out` instead of
-  // returning a new dataset: a bulk iteration folds its per-round
-  // emissions into one result this way without copying or moving a
-  // record a second time (a Union fold copies the accumulated result once
-  // per round). Charged like FlatMap for the records this call emits.
-  template <typename U, typename F>
-  void FlatMapInto(F fn, typename Dataset<U>::Partitions* out,
-                   const char* label = "FlatMap") const {
-    assert(out->size() == partitions_->size());
     std::vector<uint64_t> in_counts(num_partitions(), 0);
     std::vector<uint64_t> out_counts(num_partitions(), 0);
     common::CancellationToken& cancel = ctx_->cancellation();
     RunPerPartition(label, [&](int p) {
       const auto& src = (*partitions_)[p];
       auto& dst = (*out)[p];
-      const size_t before = dst.size();
       for (const T& rec : src) {
         if (cancel.CheckCancelled()) break;
         fn(rec, &dst);
       }
       in_counts[p] = src.size();
-      out_counts[p] = dst.size() - before;
+      out_counts[p] = dst.size();
     });
     ChargeNarrow(*ctx_, label, in_counts, out_counts);
+    return Dataset<U>(ctx_, std::move(out));
   }
 
   // Partition-wise transformation (narrow): `fn(partition_index, records,
@@ -308,14 +335,22 @@ class Dataset {
     return Dataset<T>(ctx_, std::move(out));
   }
 
+  // Routes every record by the placement policy `place` (see
+  // KeyPlacement) through the exchange ShuffleInto describes.
+  template <typename Place>
+  Dataset<T> Repartition(const Place& place,
+                         const char* label = "Repartition") const {
+    auto out = std::make_shared<Partitions>();
+    ShuffleInto(place, *partitions_, out.get(), label);
+    return Dataset<T>(ctx_, std::move(out));
+  }
+
   // Hash-partitions records so that equal keys land on the same worker.
   // `key(rec)` must return an unsigned integral or hashable key.
   template <typename KeyFn>
   Dataset<T> RepartitionByKey(KeyFn key,
                               const char* label = "Repartition") const {
-    auto out = std::make_shared<Partitions>(num_partitions());
-    ShuffleInto(key, *partitions_, out.get(), label);
-    return Dataset<T>(ctx_, std::move(out));
+    return Repartition(KeyPlacement<KeyFn>(std::move(key)), label);
   }
 
   // Removes records with duplicate keys (shuffle + per-partition dedup).
@@ -402,86 +437,81 @@ class Dataset {
     static_assert(
         std::is_same_v<K, std::decay_t<std::invoke_result_t<KeyR, const U&>>>,
         "join key types must match");
+    common::CancellationToken& cancel = ctx_->cancellation();
+    return EquiJoin<Out>(
+        right, KeyPlacement<KeyL>(key_left), KeyPlacement<KeyR>(key_right),
+        [&](const std::vector<T>& probe, const ChainedPartition<U>& build,
+            std::vector<Out>* dst, BuildSideStats* stats) {
+          std::unordered_multimap<K, const U*> table;
+          table.reserve(build.size());
+          for (const U& rec : build) {
+            if (cancel.CheckCancelled()) break;
+            table.emplace(key_right(rec), &rec);
+            stats->state_bytes += RecordBytes(rec);
+          }
+          stats->state_records = build.size();
+          for (const T& lrec : probe) {
+            if (cancel.CheckCancelled()) break;
+            auto [it, end] = table.equal_range(key_left(lrec));
+            // cancellation: matches of one probe row; outer loop polls per
+            // row.
+            for (; it != end; ++it) joiner(lrec, *it->second, dst);
+          }
+        },
+        strategy, label, hints);
+  }
 
+  // The equi-join driver behind HashJoin and the batch engine's joins
+  // (query/batch_operators.cc). Phase 1 distributes both sides. Under
+  // kRepartition a side the partitioning analysis claimed co-partitioned
+  // (`hints`) is adopted in place, and any other side goes through the
+  // exchange by its placement policy (`place_left`, `place_right`, see
+  // KeyPlacement). Under kBroadcast the left side stays in place and
+  // every worker's build side chains all right partitions, read in place.
+  // Phase 2 runs `kernel(probe, build, &out, &stats)` once per worker on
+  // the pool: `probe` is the worker's left partition, `build` its chain of
+  // right partitions, and the kernel reports the build state it held
+  // through `stats`. The kernel runs concurrently and must not mutate
+  // shared state.
+  template <typename Out, typename U, typename PlaceL, typename PlaceR,
+            typename Kernel>
+  Dataset<Out> EquiJoin(const Dataset<U>& right, const PlaceL& place_left,
+                        const PlaceR& place_right, Kernel kernel,
+                        JoinStrategy strategy, const char* label,
+                        JoinShuffleHints hints) const {
     const int p = num_partitions();
+    assert(p == right.num_partitions());
     auto out = std::make_shared<typename Dataset<Out>::Partitions>(p);
 
-    // Phase 1: distribute both inputs. Each worker's probe side is one
-    // partition and its build side a chain of partitions; a side that
-    // does not move (adopted, or the broadcast probe side) is read in
-    // place, and the broadcast build side chains every right partition
-    // instead of copying them p times.
-    typename Dataset<T>::Partitions left_shuffled;
+    // Phase 1: each worker's probe side is one partition and its build
+    // side a chain of partitions; a side that does not move (adopted, or
+    // the broadcast probe side) is read in place, and the broadcast build
+    // side chains every right partition instead of copying them p times.
+    Partitions left_shuffled;
     typename Dataset<U>::Partitions right_shuffled;
     const Partitions* left_parts = partitions_.get();
     const typename Dataset<U>::Partitions* right_parts =
         right.partitions_.get();
-    std::vector<ChainedPartition<U>> right_in(p);
+    std::vector<ChainedPartition<U>> build(p);
     if (strategy == JoinStrategy::kRepartition) {
       if (hints.left_prepartitioned) {
-        AdoptPrepartitioned(key_left, *partitions_, label);
+        AdoptPrepartitioned(place_left, *left_parts, label);
       } else {
-        ShuffleInto(key_left, *partitions_, &left_shuffled, label);
+        ShuffleInto(place_left, *left_parts, &left_shuffled, label);
         left_parts = &left_shuffled;
       }
       if (hints.right_prepartitioned) {
-        AdoptPrepartitioned(key_right, *right.partitions_, label);
+        AdoptPrepartitioned(place_right, *right_parts, label);
       } else {
-        ShuffleIntoOther(key_right, right, &right_shuffled, label);
+        ShuffleInto(place_right, *right_parts, &right_shuffled, label);
         right_parts = &right_shuffled;
       }
-      for (int i = 0; i < p; ++i) right_in[i].Append((*right_parts)[i]);
+      for (int i = 0; i < p; ++i) build[i].Append((*right_parts)[i]);
     } else {
-      const bool traced = ctx_->telemetry().enabled();
-      const double span_begin_us =
-          traced ? ctx_->telemetry().tracer().NowMicros() : 0.0;
-      // Broadcast: every worker receives the full right side.
       for (int w = 0; w < p; ++w) {
-        for (int i = 0; i < p; ++i) right_in[w].Append(right.partition(i));
+        for (int i = 0; i < p; ++i) build[w].Append((*right_parts)[i]);
       }
-      // Network: worker w sends its right-partition to the (p-1) others
-      // and receives everyone else's.
-      std::vector<uint64_t> out_bytes(p, 0), in_bytes(p, 0);
-      uint64_t total_bytes = 0;
-      for (int i = 0; i < p; ++i) {
-        uint64_t b = 0;
-        // cancellation: cost-model byte walk over the staged build side;
-        // the build/probe loops below poll once per record.
-        for (const U& rec : right.partition(i)) b += RecordBytes(rec);
-        out_bytes[i] = b * (p - 1);
-        total_bytes += b;
-      }
-      for (int i = 0; i < p; ++i) {
-        uint64_t own = 0;
-        // cancellation: cost-model byte walk (see above).
-        for (const U& rec : right.partition(i)) own += RecordBytes(rec);
-        in_bytes[i] = total_bytes - own;
-      }
-      StageCost bc;
-      bc.label = std::string(label) + "/Broadcast";
-      bc.network_sec = ShuffleSeconds(out_bytes, in_bytes, ctx_->config());
-      bc.latency_sec = ctx_->config().stage_latency_sec;
-      ctx_->tracker().AddStage(bc);
-      uint64_t moved = 0;
-      for (uint64_t b : out_bytes) moved += b;
-      ctx_->tracker().AddNetworkBytes(moved);
-      // Every build-side record enters the broadcast exchange once, just
-      // like a record entering a repartition shuffle (ShuffleInto counts
-      // its inputs the same way) — without this the per-operator record
-      // accounting was asymmetric between the two join strategies.
-      ctx_->tracker().AddRecords(static_cast<uint64_t>(right_in[0].size()));
-      if (traced) {
-        telemetry::Telemetry& tel = ctx_->telemetry();
-        tel.tracer().AddSpan(bc.label, telemetry::kCategoryStage,
-                             span_begin_us, tel.tracer().NowMicros(),
-                             /*worker=*/-1,
-                             {{"bytes", static_cast<double>(moved)}});
-        tel.metrics().AddCounter("shuffle.count", 1);
-        // A broadcast never exchanges locally: every byte entering it is
-        // sent to the (p-1) other workers, so both counters equal moved.
-        tel.metrics().AddCounter("shuffle.bytes", moved);
-        tel.metrics().AddCounter("shuffle.bytes.remote", moved);
-      }
+      ChargeBroadcast(*right_parts, label);
     }
 
     // Memory accounting (driver thread; see memory_accountant.h): the
@@ -495,11 +525,11 @@ class Dataset {
     uint64_t staged_bytes = 0;
     if (accountant.enabled()) {
       // cancellation: accounting byte walk over staged inputs; only runs
-      // with memory accounting on, and the join loops below poll.
+      // with memory accounting on, and the join kernels poll.
       for (const auto& part : *left_parts) {
         for (const T& rec : part) staged_bytes += RecordBytes(rec);
       }
-      for (const auto& chain : right_in) {
+      for (const ChainedPartition<U>& chain : build) {
         for (const U& rec : chain) staged_bytes += RecordBytes(rec);
       }
       accountant.Charge(staged_bytes);
@@ -508,165 +538,17 @@ class Dataset {
     // Phase 2: per-worker build + probe.
     BuildProbeTally tally(p);
     const std::string build_probe_label = std::string(label) + "/BuildProbe";
-    common::CancellationToken& cancel = ctx_->cancellation();
     RunPerPartition(build_probe_label.c_str(), [&](int part) {
-      const auto& lsrc = (*left_parts)[part];
-      const auto& rsrc = right_in[part];
-      std::unordered_multimap<K, const U*> table;
-      table.reserve(rsrc.size());
-      uint64_t bytes = 0;
-      for (const U& rec : rsrc) {
-        if (cancel.CheckCancelled()) break;
-        table.emplace(key_right(rec), &rec);
-        bytes += RecordBytes(rec);
-      }
-      auto& dst = (*out)[part];
-      for (const T& lrec : lsrc) {
-        if (cancel.CheckCancelled()) break;
-        auto [it, end] = table.equal_range(key_left(lrec));
-        // cancellation: matches of one probe row; outer loop polls per row.
-        for (; it != end; ++it) joiner(lrec, *it->second, &dst);
-      }
-      tally.work[part] = lsrc.size() + rsrc.size();
+      const std::vector<T>& probe = (*left_parts)[part];
+      std::vector<Out>& dst = (*out)[part];
+      BuildSideStats stats;
+      kernel(probe, build[part], &dst, &stats);
+      tally.work[part] = probe.size() + build[part].size();
       tally.out_counts[part] = dst.size();
-      tally.state_bytes[part] = bytes;
-      tally.state_records[part] = rsrc.size();
+      tally.state_bytes[part] = stats.state_bytes;
+      tally.state_records[part] = stats.state_records;
     });
     ChargeBuildProbe(*ctx_, build_probe_label, tally, staged_bytes);
-    return Dataset<Out>(ctx_, std::move(out));
-  }
-
-  // Key-directed exchange where the caller splits each record into
-  // per-target fragments. `make_splitter()` runs once per source
-  // partition's routing task and returns that task's splitter, so any
-  // scratch it keeps is private to the task; `splitter(record,
-  // source_partition, &frags)` appends (target, fragment) pairs. The
-  // columnar batch engine scatters through this — the fragments are
-  // sub-batches holding only the selected rows routed to each worker, so
-  // a filtered batch never serializes its dead rows into the exchange.
-  // Accounting mirrors ShuffleInto: every fragment enters the exchange,
-  // only fragments landing on a different worker are billed as network
-  // traffic, and the shuffle.* telemetry counters cover the fragment
-  // bytes.
-  template <typename MakeSplitter>
-  Dataset<T> ScatterShuffle(MakeSplitter make_splitter,
-                            const char* label = "Scatter") const {
-    auto out = std::make_shared<Partitions>(num_partitions());
-    common::CancellationToken& cancel = ctx_->cancellation();
-    Exchange<T>(
-        [&](int i, auto&& emit) {
-          auto splitter = make_splitter();
-          std::vector<std::pair<int, T>> frags;
-          for (const T& rec : (*partitions_)[i]) {
-            if (cancel.CheckCancelled()) break;
-            frags.clear();
-            splitter(rec, i, &frags);
-            for (auto& [target, frag] : frags) emit(target, std::move(frag));
-          }
-          return (*partitions_)[i].size();
-        },
-        out.get(), label);
-    return Dataset<T>(ctx_, std::move(out));
-  }
-
-  // Every worker receives every record — the standalone counterpart of
-  // the broadcast exchange HashJoin's kBroadcast strategy performs
-  // inline, with identical network accounting and telemetry. The batch
-  // join kernels broadcast whole column batches through this.
-  Dataset<T> Replicate(const char* label = "Replicate") const {
-    const int p = num_partitions();
-    const bool traced = ctx_->telemetry().enabled();
-    const double span_begin_us =
-        traced ? ctx_->telemetry().tracer().NowMicros() : 0.0;
-    std::vector<T> all;
-    for (int i = 0; i < p; ++i) {
-      all.insert(all.end(), (*partitions_)[i].begin(),
-                 (*partitions_)[i].end());
-    }
-    auto out = std::make_shared<Partitions>();
-    out->assign(p, all);
-    // Network: worker w sends its partition to the (p-1) others and
-    // receives everyone else's (the HashJoin broadcast formula).
-    std::vector<uint64_t> out_bytes(p, 0), in_bytes(p, 0);
-    uint64_t total_bytes = 0;
-    for (int i = 0; i < p; ++i) {
-      uint64_t b = 0;
-      // cancellation: cost-model byte walk; the consuming kernel polls.
-      for (const T& rec : (*partitions_)[i]) b += RecordBytes(rec);
-      out_bytes[i] = b * (p - 1);
-      total_bytes += b;
-    }
-    for (int i = 0; i < p; ++i) {
-      uint64_t own = 0;
-      // cancellation: cost-model byte walk (see above).
-      for (const T& rec : (*partitions_)[i]) own += RecordBytes(rec);
-      in_bytes[i] = total_bytes - own;
-    }
-    StageCost bc;
-    bc.label = std::string(label) + "/Broadcast";
-    bc.network_sec = ShuffleSeconds(out_bytes, in_bytes, ctx_->config());
-    bc.latency_sec = ctx_->config().stage_latency_sec;
-    ctx_->tracker().AddStage(bc);
-    uint64_t moved = 0;
-    for (uint64_t b : out_bytes) moved += b;
-    ctx_->tracker().AddNetworkBytes(moved);
-    ctx_->tracker().AddRecords(static_cast<uint64_t>(all.size()));
-    if (traced) {
-      telemetry::Telemetry& tel = ctx_->telemetry();
-      tel.tracer().AddSpan(bc.label, telemetry::kCategoryStage,
-                           span_begin_us, tel.tracer().NowMicros(),
-                           /*worker=*/-1,
-                           {{"bytes", static_cast<double>(moved)}});
-      tel.metrics().AddCounter("shuffle.count", 1);
-      tel.metrics().AddCounter("shuffle.bytes", moved);
-      tel.metrics().AddCounter("shuffle.bytes.remote", moved);
-    }
-    return Dataset<T>(ctx_, std::move(out));
-  }
-
-  // Narrow binary per-partition transform over co-partitioned datasets —
-  // the build+probe phase of a join whose exchange already ran.
-  // `fn(partition, left_records, right_records, &out, &stats)` reports
-  // the transient state it built (hash-table bytes and entries) through
-  // `stats`, so the stage is priced exactly like HashJoin's BuildProbe:
-  // both staged inputs charge the accountant for the stage's duration,
-  // the spill model sees the per-partition state, and the table entries
-  // charge kHashTableEntryBytes each before everything releases.
-  template <typename Out, typename U, typename F>
-  Dataset<Out> ZipPartitions(const Dataset<U>& right, F fn,
-                             const char* label = "Zip") const {
-    const int p = num_partitions();
-    assert(p == right.num_partitions());
-    auto out = std::make_shared<typename Dataset<Out>::Partitions>(p);
-    MemoryAccountant& accountant = ctx_->accountant();
-    uint64_t staged_bytes = 0;
-    if (accountant.enabled()) {
-      for (int i = 0; i < p; ++i) {
-        // cancellation: accounting byte walk; the zip callback's kernel
-        // loops poll once per record.
-        for (const T& rec : (*partitions_)[i]) {
-          staged_bytes += RecordBytes(rec);
-        }
-        // cancellation: accounting byte walk (see above).
-        for (const U& rec : right.partition(i)) {
-          staged_bytes += RecordBytes(rec);
-        }
-      }
-      accountant.Charge(staged_bytes);
-    }
-    BuildProbeTally tally(p);
-    const std::string stage_label = std::string(label) + "/BuildProbe";
-    RunPerPartition(stage_label.c_str(), [&](int part) {
-      ZipPartitionStats st;
-      fn(part, (*partitions_)[part], right.partition(part), &(*out)[part],
-         &st);
-      tally.work[part] =
-          (*partitions_)[part].size() + right.partition(part).size();
-      tally.out_counts[part] = (*out)[part].size();
-      tally.state_bytes[part] = st.state_bytes;
-      tally.state_records[part] = st.state_records;
-    });
-    ChargeBuildProbe(*ctx_, stage_label, tally, staged_bytes);
     return Dataset<Out>(ctx_, std::move(out));
   }
 
@@ -706,54 +588,35 @@ class Dataset {
   }
 
 
-  // Hash-shuffles `src` partitions into `dst` partitions by key, charging
-  // network time for records that change workers. Each record is copied
-  // once, into its routing bucket.
-  template <typename KeyFn, typename Rec>
-  void ShuffleInto(KeyFn key, const std::vector<std::vector<Rec>>& src,
+  // The two-phase exchange: routes `src` into `dst` by the placement
+  // policy `place`, both phases on the pool. Phase 1 runs one task per
+  // source partition i with its own copy of `place`: every record of
+  // source i, in order, is routed, and each piece it emits is tallied into
+  // a task-local ExchangeTally and appended to the task's bucket for its
+  // target. Phase 2 runs one task per target: it moves the buckets into
+  // (*dst)[target] in source order — every partition ends up with the
+  // content and order the serial loop over sources produced — and frees
+  // each bucket as it goes. The task tallies are summed on the driver and
+  // charged once: network time for the pieces that change workers. The
+  // tasks are untraced; the stage span covers both phases.
+  template <typename Place, typename Rec>
+  void ShuffleInto(const Place& place, const std::vector<std::vector<Rec>>& src,
                    std::vector<std::vector<Rec>>* dst,
                    const char* label) const {
-    const size_t p = static_cast<size_t>(num_partitions());
-    using K = std::decay_t<std::invoke_result_t<KeyFn, const Rec&>>;
-    const std::hash<K> hasher;
-    common::CancellationToken& cancel = ctx_->cancellation();
-    Exchange<Rec>(
-        [&](int i, auto&& emit) {
-          for (const Rec& rec : src[i]) {
-            if (cancel.CheckCancelled()) break;
-            emit(static_cast<int>(hasher(key(rec)) % p), rec);
-          }
-          return src[i].size();
-        },
-        dst, label);
-  }
-
-  // The two-phase exchange behind ShuffleInto and ScatterShuffle, both
-  // phases on the pool. Phase 1 runs one task per source partition i:
-  // `route(i, emit)` calls `emit(target, record)` for every record
-  // leaving source i, in order, and returns how many records it read;
-  // emit tallies the record into a task-local ExchangeTally and appends
-  // it to the task's bucket for that target. Phase 2 runs one task per
-  // target: it moves the buckets into (*dst)[target] in source order —
-  // every partition ends up with the content and order the serial loop
-  // over sources produced — and frees each bucket as it goes. The task
-  // tallies are summed on the driver and charged once. The tasks are
-  // untraced; the stage span covers both phases.
-  template <typename Rec, typename Route>
-  void Exchange(Route route, std::vector<std::vector<Rec>>* dst,
-                const char* label) const {
     const bool traced = ctx_->telemetry().enabled();
     const double span_begin_us =
         traced ? ctx_->telemetry().tracer().NowMicros() : 0.0;
     const int p = num_partitions();
+    common::CancellationToken& cancel = ctx_->cancellation();
     std::vector<std::vector<std::vector<Rec>>> buckets(p);  // [source][target]
     std::vector<ExchangeTally> tallies(p);
     ctx_->pool().RunAndWait(
         p,
         [&](int i) {
+          Place local = place;
           std::vector<std::vector<Rec>> out(p);
           ExchangeTally tally(p);
-          tally.in_counts[i] = route(i, [&](int target, auto&& rec) {
+          const auto emit = [&](int target, auto&& rec) {
             assert(target >= 0 && target < p);
             // Only the cost model distinguishes local from remote
             // delivery; the shuffle.bytes counter (Flink's numBytesOut)
@@ -769,7 +632,12 @@ class Dataset {
               tally.moved += b;
             }
             out[target].push_back(std::forward<decltype(rec)>(rec));
-          });
+          };
+          for (const Rec& rec : src[i]) {
+            if (cancel.CheckCancelled()) break;
+            local.Route(rec, static_cast<size_t>(p), emit);
+          }
+          tally.in_counts[i] = src[i].size();
           buckets[i] = std::move(out);
           tallies[i] = std::move(tally);
         });
@@ -794,18 +662,18 @@ class Dataset {
   }
 
   // Adopts `src` as the already-partitioned join-side layout, read in
-  // place: the partitioning analysis proved every record sits at
-  // hash(key) % p, so no exchange runs, no stage is charged and no
-  // network bytes accrue. Counters record what was saved; with
-  // GRADOOP_AUDIT_PARTITIONING set, every record is re-hashed and the
+  // place: the partitioning analysis proved every row sits where `place`
+  // routes it, so no exchange runs, no stage is charged and no network
+  // bytes accrue. Counters record what was saved; with
+  // GRADOOP_AUDIT_PARTITIONING set, every row is re-placed and the
   // process hard-fails on the first one the proof misplaced.
-  template <typename KeyFn, typename Rec>
-  void AdoptPrepartitioned(KeyFn key,
+  template <typename Place, typename Rec>
+  void AdoptPrepartitioned(const Place& place,
                            const std::vector<std::vector<Rec>>& src,
                            const char* label) const {
     if (PartitioningAuditEnabled()) {
       uint64_t checked = 0;
-      const uint64_t misplaced = CountMisplacedRecords(src, key, &checked);
+      const uint64_t misplaced = CountMisplacedRecords(src, place, &checked);
       PartitioningAuditStats::Instance().RecordCheck(checked, misplaced);
       if (misplaced != 0) {
         std::fprintf(stderr,
@@ -822,8 +690,10 @@ class Dataset {
       // cancellation: telemetry byte walk over an adopted (zero-copy)
       // shuffle; the join kernel consuming the adopted layout polls.
       for (const auto& part : src) {
-        records += part.size();
-        for (const Rec& rec : part) bytes += RecordBytes(rec);
+        for (const Rec& rec : part) {
+          records += place.Rows(rec);
+          bytes += RecordBytes(rec);
+        }
       }
       telemetry::Telemetry& tel = ctx_->telemetry();
       tel.metrics().AddCounter("shuffle.elided.count", 1);
@@ -837,12 +707,52 @@ class Dataset {
     }
   }
 
-  // Same as ShuffleInto but reads from another dataset's partitions.
-  template <typename KeyFn, typename U>
-  void ShuffleIntoOther(KeyFn key, const Dataset<U>& other,
-                        std::vector<std::vector<U>>* dst,
-                        const char* label) const {
-    ShuffleInto(key, *other.partitions_, dst, label);
+  // Charges the broadcast of `parts` to every worker as the stage
+  // `label + "/Broadcast"`: worker w sends its partition to the (p-1)
+  // others and receives everyone else's.
+  template <typename Rec>
+  void ChargeBroadcast(const std::vector<std::vector<Rec>>& parts,
+                       const char* label) const {
+    const int p = num_partitions();
+    const bool traced = ctx_->telemetry().enabled();
+    const double span_begin_us =
+        traced ? ctx_->telemetry().tracer().NowMicros() : 0.0;
+    std::vector<uint64_t> own(p, 0), out_bytes(p, 0), in_bytes(p, 0);
+    uint64_t total_bytes = 0;
+    uint64_t records = 0;
+    for (int i = 0; i < p; ++i) {
+      // cancellation: cost-model byte walk over the staged build side;
+      // the join kernels poll once per record.
+      for (const Rec& rec : parts[i]) own[i] += RecordBytes(rec);
+      out_bytes[i] = own[i] * (p - 1);
+      total_bytes += own[i];
+      records += parts[i].size();
+    }
+    for (int i = 0; i < p; ++i) in_bytes[i] = total_bytes - own[i];
+    StageCost bc;
+    bc.label = std::string(label) + "/Broadcast";
+    bc.network_sec = ShuffleSeconds(out_bytes, in_bytes, ctx_->config());
+    bc.latency_sec = ctx_->config().stage_latency_sec;
+    ctx_->tracker().AddStage(bc);
+    uint64_t moved = 0;
+    for (uint64_t b : out_bytes) moved += b;
+    ctx_->tracker().AddNetworkBytes(moved);
+    // Every build-side record enters the broadcast exchange once, just
+    // like a record entering a repartition shuffle (ShuffleInto counts
+    // its inputs the same way).
+    ctx_->tracker().AddRecords(records);
+    if (traced) {
+      telemetry::Telemetry& tel = ctx_->telemetry();
+      tel.tracer().AddSpan(bc.label, telemetry::kCategoryStage, span_begin_us,
+                           tel.tracer().NowMicros(),
+                           /*worker=*/-1,
+                           {{"bytes", static_cast<double>(moved)}});
+      tel.metrics().AddCounter("shuffle.count", 1);
+      // A broadcast never exchanges locally: every byte entering it is
+      // sent to the (p-1) other workers, so both counters equal moved.
+      tel.metrics().AddCounter("shuffle.bytes", moved);
+      tel.metrics().AddCounter("shuffle.bytes.remote", moved);
+    }
   }
 
   ExecutionContextPtr ctx_;

@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
-#include <type_traits>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -12,7 +10,7 @@
 namespace gradoop::dataflow {
 
 // Runtime audit of the compile-time partitioning analysis
-// (query/exec/partitioning.h). The analysis lets Dataset::HashJoin adopt
+// (query/exec/partitioning.h). The analysis lets Dataset::EquiJoin adopt
 // a pre-partitioned input without shuffling it; an unsound transfer
 // function would not crash but silently match records in the wrong
 // partition and drop results. With GRADOOP_AUDIT_PARTITIONING set (CI
@@ -25,23 +23,26 @@ inline bool PartitioningAuditEnabled() {
   return std::getenv("GRADOOP_AUDIT_PARTITIONING") != nullptr;
 }
 
-// Counts records whose key does not hash back to the partition holding
-// them — exactly the check an elided shuffle claims is unnecessary. Uses
-// the same std::hash the shuffle itself routes by. Exposed for unit
-// tests; HashJoin aborts when this returns non-zero.
-template <typename Rec, typename KeyFn>
+// Counts rows that do not sit in the partition the placement policy
+// `place` routes them to (see dataflow::KeyPlacement) — exactly the check
+// an elided shuffle claims is unnecessary, made with the placement the
+// shuffle itself routes by. Exposed for unit tests; Dataset::EquiJoin
+// aborts when this returns non-zero.
+template <typename Rec, typename Place>
 uint64_t CountMisplacedRecords(const std::vector<std::vector<Rec>>& parts,
-                               KeyFn key,
+                               Place place,
                                uint64_t* records_checked = nullptr) {
-  using K = std::decay_t<std::invoke_result_t<KeyFn, const Rec&>>;
-  std::hash<K> hasher;
   const size_t p = parts.size();
   uint64_t misplaced = 0;
   uint64_t checked = 0;
   for (size_t i = 0; i < p; ++i) {
+    // cancellation: opt-in partitioning audit must re-place every row even
+    // while unwinding — a partial check could miss the violation.
     for (const Rec& rec : parts[i]) {
-      ++checked;
-      if (p != 0 && hasher(key(rec)) % p != i) ++misplaced;
+      place.ForEachRow(rec, p, [&](size_t target) {
+        ++checked;
+        if (target != i) ++misplaced;
+      });
     }
   }
   if (records_checked != nullptr) *records_checked = checked;

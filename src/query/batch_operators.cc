@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -12,7 +10,6 @@
 #include <utility>
 
 #include "common/cancellation.h"
-#include "dataflow/partitioning_audit.h"
 #include "dataflow/stage_charges.h"
 
 namespace gradoop::query {
@@ -20,8 +17,6 @@ namespace gradoop::query {
 namespace dfl = ::gradoop::dataflow;
 
 namespace {
-
-using BatchDataset = dfl::Dataset<EmbeddingBatch>;
 
 // Hoisted morphism plan of one merge: the row engine re-reads the meta's
 // column lists per embedding; the batch kernels resolve them once per
@@ -128,125 +123,66 @@ void AppendIdKey(const EmbeddingBatch& b, uint32_t row,
 using KeyWriter = void (*)(const EmbeddingBatch&, uint32_t,
                            const std::vector<int>&, std::string*);
 
-// Placement hash of one join side's rows: std::hash<std::string> of the
-// row's key bytes, so rows land where the row engine puts them and every
-// elision proof holds. The key is built in a scratch buffer the functor
-// owns; the exchange copies the functor into each routing task, so the
-// buffer is private to the task and stops allocating after its first
-// rows.
+// The placement policy of a batch join side (see dataflow::KeyPlacement):
+// every active row belongs to std::hash<std::string> of its key bytes
+// modulo p, so rows land where the row engine puts them and every elision
+// proof holds. Route splits a batch row by row, compacting the rows bound
+// for each worker into one sub-batch, so a filtered batch never
+// serializes its dead rows into the exchange. The key is built in a
+// scratch buffer the policy owns; the exchange copies the policy into each
+// routing task, so the buffer is private to the task and stops allocating
+// after its first rows.
 template <KeyWriter kWriteKey>
-class RowKeyHash {
+class RowScatter {
  public:
-  explicit RowKeyHash(const std::vector<int>& columns) : columns_(&columns) {}
+  RowScatter(const std::vector<int>& columns, const EmbeddingMetaData& meta)
+      : columns_(&columns),
+        flags_(BatchColumnFlags(meta)),
+        props_(meta.property_column_count()) {}
 
-  size_t operator()(const EmbeddingBatch& b, uint32_t row) {
-    key_.clear();
-    kWriteKey(b, row, *columns_, &key_);
-    return std::hash<std::string>()(key_);
+  // Two passes per batch: route every active row first, then compact each
+  // target's rows with one column-major bulk gather (AppendRows) instead
+  // of row-at-a-time appends.
+  template <typename Emit>
+  void Route(const EmbeddingBatch& b, size_t p, Emit&& emit) {
+    rows_by_target_.resize(p);
+    for (std::vector<uint32_t>& rows : rows_by_target_) rows.clear();
+    ForEachActiveRow(b, p, [this](uint32_t row, size_t target) {
+      rows_by_target_[target].push_back(row);
+    });
+    for (size_t target = 0; target < p; ++target) {
+      const std::vector<uint32_t>& rows = rows_by_target_[target];
+      if (rows.empty()) continue;
+      EmbeddingBatch piece(flags_, props_);
+      piece.AppendRows(b, rows);
+      emit(static_cast<int>(target), std::move(piece));
+    }
   }
+  template <typename Fn>
+  void ForEachRow(const EmbeddingBatch& b, size_t p, Fn&& fn) {
+    ForEachActiveRow(b, p, [&fn](uint32_t, size_t target) { fn(target); });
+  }
+  static uint64_t Rows(const EmbeddingBatch& b) { return b.ActiveRows(); }
 
  private:
+  // fn(row, target) for every active row of `b`, in order.
+  template <typename Fn>
+  void ForEachActiveRow(const EmbeddingBatch& b, size_t p, Fn&& fn) {
+    const uint32_t active = b.ActiveRows();
+    for (uint32_t i = 0; i < active; ++i) {
+      const uint32_t row = b.ActiveRow(i);
+      key_.clear();
+      kWriteKey(b, row, *columns_, &key_);
+      fn(row, std::hash<std::string>()(key_) % p);
+    }
+  }
+
   const std::vector<int>* columns_;
+  std::vector<uint8_t> flags_;  // the side's batch layout
+  int props_;
   std::string key_;
+  std::vector<std::vector<uint32_t>> rows_by_target_;
 };
-
-// Scatters the active rows of every batch to row_hash(row) % p,
-// compacting them into per-target sub-batches. Placement is the row
-// engine's. The routing tasks run concurrently, each with its own copy of
-// the splitter and of `row_hash`.
-template <typename RowHash>
-BatchDataset ScatterBatches(const BatchDataset& data,
-                            const std::vector<uint8_t>& flags, int props,
-                            const RowHash& row_hash, const char* label) {
-  const int p = data.num_partitions();
-  return data.ScatterShuffle(
-      [&flags, props, &row_hash, p] {
-        // Two passes per batch: route every active row first, then
-        // compact each target's rows with one column-major bulk gather
-        // (AppendRows) instead of row-at-a-time appends.
-        return [&flags, props, hash = row_hash, p,
-                rows_by_target =
-                    std::vector<std::vector<uint32_t>>(static_cast<size_t>(p))](
-                   const EmbeddingBatch& b, int /*source*/,
-                   std::vector<std::pair<int, EmbeddingBatch>>* frags) mutable {
-          for (std::vector<uint32_t>& rows : rows_by_target) rows.clear();
-          const uint32_t active = b.ActiveRows();
-          for (uint32_t i = 0; i < active; ++i) {
-            const uint32_t row = b.ActiveRow(i);
-            rows_by_target[hash(b, row) % static_cast<size_t>(p)].push_back(
-                row);
-          }
-          for (int target = 0; target < p; ++target) {
-            const auto& rows = rows_by_target[static_cast<size_t>(target)];
-            if (rows.empty()) continue;
-            frags->emplace_back(target, EmbeddingBatch(flags, props));
-            frags->back().second.AppendRows(b, rows);
-          }
-        };
-      },
-      label);
-}
-
-// Adopts an input the partitioning analysis proved co-partitioned on the
-// join key: no exchange, no stage, no network bytes. Mirrors the row
-// engine's AdoptPrepartitioned — under GRADOOP_AUDIT_PARTITIONING every
-// *active row* is re-hashed and the process hard-fails on the first
-// misplaced one; telemetry records what the elision saved.
-template <typename RowHash>
-BatchDataset AdoptBatches(const BatchDataset& data, RowHash row_hash,
-                          const char* label) {
-  const int p = data.num_partitions();
-  if (dfl::PartitioningAuditEnabled()) {
-    uint64_t checked = 0;
-    uint64_t misplaced = 0;
-    for (int i = 0; i < p; ++i) {
-      // cancellation: opt-in partitioning audit must re-hash every row
-      // even while unwinding — a partial check could miss the violation.
-      for (const EmbeddingBatch& b : data.partition(i)) {
-        const uint32_t active = b.ActiveRows();
-        for (uint32_t j = 0; j < active; ++j) {
-          ++checked;
-          if (p != 0 && row_hash(b, b.ActiveRow(j)) % static_cast<size_t>(p) !=
-                            static_cast<size_t>(i)) {
-            ++misplaced;
-          }
-        }
-      }
-    }
-    dfl::PartitioningAuditStats::Instance().RecordCheck(checked, misplaced);
-    if (misplaced != 0) {
-      std::fprintf(stderr,
-                   "[gradoop] partitioning audit FAILED at %s: %llu of "
-                   "%llu rows of an elided batch shuffle sit in the wrong "
-                   "partition — the partitioning analysis is unsound\n",
-                   label, static_cast<unsigned long long>(misplaced),
-                   static_cast<unsigned long long>(checked));
-      std::abort();
-    }
-  }
-  const auto& ctx = data.context();
-  if (ctx->telemetry().enabled()) {
-    uint64_t bytes = 0;
-    uint64_t records = 0;
-    for (int i = 0; i < p; ++i) {
-      // cancellation: telemetry byte walk, O(batches) with no row work.
-      for (const EmbeddingBatch& b : data.partition(i)) {
-        records += b.ActiveRows();
-        bytes += b.SerializedSize();
-      }
-    }
-    telemetry::Telemetry& tel = ctx->telemetry();
-    tel.metrics().AddCounter("shuffle.elided.count", 1);
-    tel.metrics().AddCounter("shuffle.elided.bytes", bytes);
-    const double now_us = tel.tracer().NowMicros();
-    tel.tracer().AddSpan(std::string(label) + "/ShuffleElided",
-                         telemetry::kCategoryStage, now_us, now_us,
-                         /*worker=*/-1,
-                         {{"bytes_saved", static_cast<double>(bytes)},
-                          {"records", static_cast<double>(records)}});
-  }
-  return data;
-}
 
 // Everything the build+probe stage needs to merge a (left, right) row
 // pair and decide whether it survives.
@@ -453,33 +389,34 @@ class BuildTable {
 
 // The vectorized probe loop: builds the flat table over the build
 // (right) side's active rows, probes with every left row and appends
-// surviving merged rows.
+// surviving merged rows. The build side is read in place, so the chain a
+// broadcast hands every worker is shared, not copied.
 template <typename Keys>
 void BuildProbeMerge(const std::vector<EmbeddingBatch>& left_batches,
-                     const std::vector<EmbeddingBatch>& right_batches,
+                     const dfl::ChainedPartition<EmbeddingBatch>& build,
                      Keys keys, const MergeParams& mp,
                      std::vector<EmbeddingBatch>* dst,
-                     dfl::ZipPartitionStats* st,
+                     dfl::BuildSideStats* st,
                      common::CancellationToken& cancel) {
   // Build over the right side (HashJoin's build side), one entry per
-  // active row addressed as (batch, row).
-  uint64_t build_rows = 0;
-  // cancellation: O(batches) size prepass; the build loop below polls.
-  for (const EmbeddingBatch& b : right_batches) build_rows += b.ActiveRows();
-  BuildTable<Keys> table(build_rows);
+  // active row addressed as (batch index, row).
+  std::vector<const EmbeddingBatch*> right_batches;
+  right_batches.reserve(build.size());
+  // cancellation: O(batches) prepass; the build loop below polls.
+  for (const EmbeddingBatch& b : build) {
+    right_batches.push_back(&b);
+    st->state_records += b.ActiveRows();
+    st->state_bytes += b.SerializedSize();
+  }
+  BuildTable<Keys> table(st->state_records);
   for (uint32_t bi = 0; bi < right_batches.size(); ++bi) {
     if (cancel.CheckCancelled()) break;
-    const EmbeddingBatch& b = right_batches[bi];
+    const EmbeddingBatch& b = *right_batches[bi];
     const uint32_t active = b.ActiveRows();
     for (uint32_t i = 0; i < active; ++i) {
       const uint32_t row = b.ActiveRow(i);
       table.Insert(&keys, keys.Right(b, row), bi, row);
     }
-  }
-  st->state_records = build_rows;
-  // cancellation: O(batches) accounting byte walk, no per-row work.
-  for (const EmbeddingBatch& b : right_batches) {
-    st->state_bytes += b.SerializedSize();
   }
 
   EmbeddingBatch builder(mp.flags, mp.props);
@@ -501,7 +438,7 @@ void BuildProbeMerge(const std::vector<EmbeddingBatch>& left_batches,
            e != BuildTable<Keys>::kEnd; e = table.Next(e)) {
         if (!keys.Matches(table.KeyOf(e), probe)) continue;
         const auto [bi, rrow] = table.Where(e);
-        const EmbeddingBatch& rb = right_batches[bi];
+        const EmbeddingBatch& rb = *right_batches[bi];
         // Morphism first, straight off the source rows: on selective
         // joins most pairs die here without a single cell copied.
         if (!mp.morphism.PairSatisfies(lb, lrow, rb, rrow, &scratch)) {
@@ -542,47 +479,6 @@ void BuildProbeMerge(const std::vector<EmbeddingBatch>& left_batches,
     pairs.clear();
   }
   flush();
-}
-
-// Shared tail of the two join kernels: exchange (scatter / adopt /
-// broadcast, matching HashJoin's strategies), then `merge(left batches,
-// right batches, dst, stats, cancel)` per partition.
-template <typename RowHash, typename Merge>
-BatchSet ExchangeAndMerge(const BatchSet& left, const BatchSet& right,
-                          const RowHash& left_hash, const RowHash& right_hash,
-                          const MergeParams& mp, dfl::JoinStrategy strategy,
-                          dfl::JoinShuffleHints hints, const char* label,
-                          const Merge& merge) {
-  BatchDataset left_exchanged = left.data;
-  BatchDataset right_exchanged = right.data;
-  if (strategy == dfl::JoinStrategy::kRepartition) {
-    left_exchanged =
-        hints.left_prepartitioned
-            ? AdoptBatches(left.data, left_hash, label)
-            : ScatterBatches(left.data, BatchColumnFlags(left.meta),
-                             left.meta.property_column_count(), left_hash,
-                             label);
-    right_exchanged =
-        hints.right_prepartitioned
-            ? AdoptBatches(right.data, right_hash, label)
-            : ScatterBatches(right.data, BatchColumnFlags(right.meta),
-                             right.meta.property_column_count(), right_hash,
-                             label);
-  } else {
-    // Broadcast: the left side stays in place, the right (build) side
-    // replicates to every worker.
-    right_exchanged = right.data.Replicate(label);
-  }
-  common::CancellationToken& cancel = left.data.context()->cancellation();
-  auto data = left_exchanged.ZipPartitions<EmbeddingBatch>(
-      right_exchanged,
-      [&](int /*partition*/, const std::vector<EmbeddingBatch>& ls,
-          const std::vector<EmbeddingBatch>& rs,
-          std::vector<EmbeddingBatch>* dst, dfl::ZipPartitionStats* st) {
-        merge(ls, rs, dst, st, cancel);
-      },
-      label);
-  return {std::move(data), mp.merged_meta};
 }
 
 }  // namespace
@@ -728,11 +624,11 @@ BatchSet JoinBatches(const BatchSet& left, const BatchSet& right,
   assert(left_columns.size() == right_columns.size());
   const MergeParams mp(merged_meta, left.meta.id_column_count(), semantics,
                        residual, batch_size);
+  common::CancellationToken& cancel = left.data.context()->cancellation();
   const auto merge = [&](const std::vector<EmbeddingBatch>& ls,
-                         const std::vector<EmbeddingBatch>& rs,
+                         const dfl::ChainedPartition<EmbeddingBatch>& rs,
                          std::vector<EmbeddingBatch>* dst,
-                         dfl::ZipPartitionStats* st,
-                         common::CancellationToken& cancel) {
+                         dfl::BuildSideStats* st) {
     if (left_columns.size() == 1) {
       BuildProbeMerge(ls, rs, U64Key(left_columns[0], right_columns[0]), mp,
                       dst, st, cancel);
@@ -748,10 +644,11 @@ BatchSet JoinBatches(const BatchSet& left, const BatchSet& right,
                       dst, st, cancel);
     }
   };
-  return ExchangeAndMerge(left, right,
-                          RowKeyHash<AppendIdKey>(left_columns),
-                          RowKeyHash<AppendIdKey>(right_columns), mp,
-                          strategy, hints, "JoinEmbeddings", merge);
+  return {left.data.EquiJoin<EmbeddingBatch>(
+              right.data, RowScatter<AppendIdKey>(left_columns, left.meta),
+              RowScatter<AppendIdKey>(right_columns, right.meta), merge,
+              strategy, "JoinEmbeddings", hints),
+          merged_meta};
 }
 
 BatchSet ValueJoinBatches(const BatchSet& left, const BatchSet& right,
@@ -796,20 +693,22 @@ BatchSet ValueJoinBatches(const BatchSet& left, const BatchSet& right,
       prune(right, right_key_columns, "ValueJoinPruneRight"), right.meta};
   const MergeParams mp(merged_meta, left.meta.id_column_count(), semantics,
                        residual, batch_size);
+  common::CancellationToken& cancel = left.data.context()->cancellation();
   const auto merge = [&](const std::vector<EmbeddingBatch>& ls,
-                         const std::vector<EmbeddingBatch>& rs,
+                         const dfl::ChainedPartition<EmbeddingBatch>& rs,
                          std::vector<EmbeddingBatch>* dst,
-                         dfl::ZipPartitionStats* st,
-                         common::CancellationToken& cancel) {
+                         dfl::BuildSideStats* st) {
     BuildProbeMerge(ls, rs,
                     BytesKey<AppendValueKey>(left_key_columns,
                                              right_key_columns),
                     mp, dst, st, cancel);
   };
-  return ExchangeAndMerge(pruned_left, pruned_right,
-                          RowKeyHash<AppendValueKey>(left_key_columns),
-                          RowKeyHash<AppendValueKey>(right_key_columns), mp,
-                          strategy, hints, "ValueJoinEmbeddings", merge);
+  return {pruned_left.data.EquiJoin<EmbeddingBatch>(
+              pruned_right.data,
+              RowScatter<AppendValueKey>(left_key_columns, left.meta),
+              RowScatter<AppendValueKey>(right_key_columns, right.meta), merge,
+              strategy, "ValueJoinEmbeddings", hints),
+          merged_meta};
 }
 
 }  // namespace gradoop::query

@@ -87,11 +87,13 @@ BatchSet ScanEdgesBatch(const dataflow::DatasetList<epgm::Edge>& edges,
 BatchSet SelectBatches(const BatchSet& input,
                        const std::vector<cypher::CnfClause>& clauses);
 
-// Equi-join on id columns: scatters only the selected rows of each batch
-// by the row engine's join-key hash, builds per-partition hash tables
-// over raw u64 key columns (single-column joins probe without any key
-// materialization) and emits merged batches. Elided sides are adopted in
-// place and re-audited per row under GRADOOP_AUDIT_PARTITIONING.
+// Equi-join on id columns, run by Dataset::EquiJoin, the driver behind
+// the row engine's HashJoin: the same exchange, adoption (audited per row
+// under GRADOOP_AUDIT_PARTITIONING), broadcast and charges. A scattered
+// side sends only the selected rows of each batch, placed by the row
+// engine's join-key hash; a broadcast build side is read in place. Each
+// worker builds a hash table over raw u64 key columns (single-column joins
+// probe without any key materialization) and emits merged batches.
 BatchSet JoinBatches(const BatchSet& left, const BatchSet& right,
                      const std::vector<int>& left_columns,
                      const std::vector<int>& right_columns,

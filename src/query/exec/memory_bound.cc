@@ -80,16 +80,17 @@ MemoryBound DeriveNode(const PhysicalOperator& op, int num_workers,
           child_bounds.size() > 1 ? child_bounds[1].output_bytes : 0;
       const uint64_t right_rows = child_rows.size() > 1 ? child_rows[1] : 0;
       if (strategy == dataflow::JoinStrategy::kBroadcast) {
-        // Dataset::HashJoin broadcast: the probe side is copied in place
-        // (left_parts = *partitions_), the build side is concatenated once
-        // (all_right) and replicated to every worker, and each worker
-        // builds a hash table over its full-copy build side.
+        // Dataset::EquiJoin broadcast: the accountant charges the probe
+        // side once and the build side once per worker (on a cluster each
+        // worker holds a copy; the host reads one chain in place), and
+        // each worker builds a hash table over the full build side. The
+        // bound keeps one build-side copy more than that charge.
         b.state_bytes = left_bytes + (p + 1) * right_bytes +
                         p * right_rows * kJoinTableEntryBytes;
       } else {
-        // Repartition: both sides are staged into shuffled partitions
-        // (elided sides still copy via AdoptPrepartitioned) and the build
-        // side gets one table entry per row.
+        // Repartition: each side is staged once, shuffled or (when its
+        // shuffle is elided) adopted in place, and the build side gets
+        // one table entry per row.
         b.state_bytes =
             left_bytes + right_bytes + right_rows * kJoinTableEntryBytes;
       }

@@ -70,9 +70,9 @@ PartitioningProperty DerivePartitioning(const PhysicalOperator& op) {
       return PartitioningProperty::Random();
 
     case PhysOpKind::kExpand:
-      // The bulk iteration re-routes the frontier through id-keyed joins
-      // and unions emissions from every round; the output layout keeps
-      // no single-key invariant.
+      // Every hop re-routes the frontier by its end vertex and the output
+      // unions emissions from every round; the output layout keeps no
+      // single-key invariant.
       return PartitioningProperty::Random();
 
     case PhysOpKind::kFilter:

@@ -113,13 +113,13 @@ EmbeddingSet ValueJoinEmbeddings(const EmbeddingSet& left,
                                      residual = {},
                                  dataflow::JoinShuffleHints hints = {});
 
-// ExpandEmbeddings: evaluates a variable-length path expression by bulk
-// iteration (§3.1). Starting from the embeddings of `input` positioned at
-// `start_column`, repeatedly performs 1-hop expansions of the frontier,
-// keeping only paths that satisfy the morphism semantics, and unions an
-// emission into the result once the iteration count reaches
-// `lower_bound`. Terminates at `upper_bound` or when no valid path
-// remains.
+// ExpandEmbeddings: evaluates a variable-length path expression, the
+// paper's bulk iteration (§3.1) run as a hop loop. Starting from the
+// embeddings of `input` positioned at `start_column`, repeatedly performs
+// 1-hop expansions of the frontier, keeping only paths that satisfy the
+// morphism semantics, and unions an emission into the result once the
+// iteration count reaches `lower_bound`. Terminates at `upper_bound` or
+// when no valid path remains.
 //
 // Each hop is one pass per partition: it reads the frontier records
 // routed to the partition owning their end vertex, walks `adjacency`

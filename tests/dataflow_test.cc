@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "dataflow/bulk_iteration.h"
 #include "common/lock_rank.h"
 #include "common/thread_annotations.h"
 #include "dataflow/dataset.h"
@@ -490,36 +489,6 @@ TEST(ZeroCopyTest, DatasetListStageReadsEveryInputInPlace) {
   EXPECT_EQ(Contents(b), before_b);
 }
 
-TEST(ZeroCopyTest, ExpandStyleFoldAppendsEachRoundWithoutCopies) {
-  auto ctx = Ctx(3);
-  const auto input = CountedDataset(ctx, 0, 20);
-  const auto before = Contents(input);
-  // Three rounds each emit one fresh record per input record into one
-  // accumulator, as ExpandEmbeddings folds its per-hop emissions.
-  auto emit_round = [](int round) {
-    return [round](const Counted& rec, std::vector<Counted>* out) {
-      out->emplace_back(rec.key, 1000 * round + rec.value);
-    };
-  };
-  Counted::copies = 0;
-  auto folded = std::make_shared<Dataset<Counted>::Partitions>(3);
-  for (int round = 0; round < 3; ++round) {
-    input.FlatMapInto<Counted>(emit_round(round), folded.get(), "Emit");
-  }
-  EXPECT_EQ(Counted::copies.load(), 0u);
-  const Dataset<Counted> result(ctx, std::move(folded));
-
-  // Per partition, round k's records follow round k-1's: a Union fold's
-  // order.
-  Dataset<Counted> unioned = Dataset<Counted>::Empty(ctx);
-  for (int round = 0; round < 3; ++round) {
-    unioned = unioned.Union(
-        input.FlatMap<Counted>(emit_round(round), "Emit"));
-  }
-  EXPECT_EQ(Contents(result), Contents(unioned));
-  EXPECT_EQ(Contents(input), before);
-}
-
 TEST(ZeroCopyTest, BroadcastJoinReadsBothSidesInPlace) {
   auto ctx = Ctx(4);
   const auto left = CountedDataset(ctx, 0, 50);
@@ -539,6 +508,33 @@ TEST(ZeroCopyTest, BroadcastJoinReadsBothSidesInPlace) {
   EXPECT_EQ(broadcast.Collect().size(), 7u);
   EXPECT_EQ(Contents(left), before_left);
   EXPECT_EQ(Contents(right), before_right);
+}
+
+// The batch joins run HashJoin's driver with their own kernel, which
+// addresses build records in place (BuildProbeMerge). Under kBroadcast
+// every worker's build side must be a chain over the right dataset's own
+// records: the addresses each worker's kernel sees are the right
+// partitions' records, in partition order, and nothing is copied.
+TEST(ZeroCopyTest, BroadcastBuildSideIsOneChainOverTheRightRecords) {
+  auto ctx = Ctx(4);
+  const auto left = CountedDataset(ctx, 0, 50);
+  const auto right = CountedDataset(ctx, 10, 7);
+  std::vector<const Counted*> right_records;
+  for (int p = 0; p < right.num_partitions(); ++p) {
+    for (const Counted& rec : right.partition(p)) right_records.push_back(&rec);
+  }
+  Counted::copies = 0;
+  const auto seen = left.EquiJoin<const Counted*>(
+      right, KeyPlacement(CountedKey), KeyPlacement(CountedKey),
+      [](const std::vector<Counted>&, const ChainedPartition<Counted>& build,
+         std::vector<const Counted*>* out, BuildSideStats*) {
+        for (const Counted& rec : build) out->push_back(&rec);
+      },
+      JoinStrategy::kBroadcast, "Join", {});
+  EXPECT_EQ(Counted::copies.load(), 0u);
+  for (int w = 0; w < seen.num_partitions(); ++w) {
+    EXPECT_EQ(seen.partition(w), right_records) << "worker " << w;
+  }
 }
 
 TEST(ZeroCopyTest, ElidedShuffleJoinAdoptsBothSidesInPlace) {
@@ -776,44 +772,64 @@ TEST(ExchangeParityTest, RepartitionHashJoinMatchesTheSerialLoop) {
   });
 }
 
-TEST(ExchangeParityTest, ScatterShuffleMatchesTheSerialLoop) {
+// A placement that splits records: every record goes to key % p, and
+// keys divisible by 3 also send a second piece to (key / 3) % p. Counts
+// its copies, and the copies that routed records of more than one source.
+struct SplittingPlacement {
+  // ordering: relaxed tallies, read after the exchange joined.
+  std::atomic<int>* copies;
+  std::atomic<int>* foreign_source;
+  int source = -1;
+
+  SplittingPlacement(std::atomic<int>* c, std::atomic<int>* f)
+      : copies(c), foreign_source(f) {}
+  SplittingPlacement(const SplittingPlacement& other)
+      : copies(other.copies), foreign_source(other.foreign_source) {
+    copies->fetch_add(1, std::memory_order_relaxed);
+  }
+
+  static void Split(const Row& r, size_t p,
+                    std::vector<std::pair<int, Row>>* pieces) {
+    pieces->emplace_back(static_cast<int>(r.key % p), r);
+    if (r.key % 3 == 0) {
+      pieces->emplace_back(static_cast<int>((r.key / 3) % p),
+                           Row{r.key + 1000, r.payload + "'"});
+    }
+  }
+  template <typename Emit>
+  void Route(const Row& r, size_t p, Emit&& emit) {
+    // ParityInput's payloads read "salt:source:index".
+    const int from = std::stoi(r.payload.substr(r.payload.find(':') + 1));
+    if (source != -1 && source != from) {
+      foreign_source->fetch_add(1, std::memory_order_relaxed);
+    }
+    source = from;
+    std::vector<std::pair<int, Row>> pieces;
+    Split(r, p, &pieces);
+    for (auto& [target, piece] : pieces) emit(target, std::move(piece));
+  }
+};
+
+TEST(ExchangeParityTest, SplittingPlacementMatchesTheSerialLoop) {
   ForEachParityCase([](ExecutionContext& ctx, ExecutionContext& ref_ctx,
                        const Dataset<Row>& ds, KeyShape) {
     const int p = ds.num_partitions();
-    // Every record goes to key % p; keys divisible by 3 also send a
-    // second fragment to (key / 3) % p.
-    auto split = [p](const Row& r, std::vector<std::pair<int, Row>>* frags) {
-      frags->emplace_back(static_cast<int>(r.key % p), r);
-      if (r.key % 3 == 0) {
-        frags->emplace_back(static_cast<int>((r.key / 3) % p),
-                            Row{r.key + 1000, r.payload + "'"});
-      }
-    };
-    // One splitter per routing task, and each sees only its own source.
-    std::atomic<int> splitters{0};      // ordering: relaxed tallies, read
+    // One copy of the placement per routing task, and each sees only its
+    // own source.
+    std::atomic<int> copies{0};          // ordering: relaxed tallies, read
     std::atomic<int> foreign_source{0};  // after the exchange joined
-    const auto out = ds.ScatterShuffle(
-        [&] {
-          splitters.fetch_add(1, std::memory_order_relaxed);
-          return [&, source = -1](const Row& r, int i,
-                                  std::vector<std::pair<int, Row>>* frags)
-                     mutable {
-            if (source != -1 && source != i) {
-              foreign_source.fetch_add(1, std::memory_order_relaxed);
-            }
-            source = i;
-            split(r, frags);
-          };
-        },
-        "Parity");
+    const auto out = ds.Repartition(
+        SplittingPlacement(&copies, &foreign_source), "Parity");
     const Dataset<Row>::Partitions src = PartitionsOf(ds);
     SerialExchange ref = SerialRoute(p, [&](auto&& route) {
-      std::vector<std::pair<int, Row>> frags;
+      std::vector<std::pair<int, Row>> pieces;
       for (int i = 0; i < p; ++i) {
         for (const Row& rec : src[i]) {
-          frags.clear();
-          split(rec, &frags);
-          for (auto& [target, frag] : frags) route(i, target, std::move(frag));
+          pieces.clear();
+          SplittingPlacement::Split(rec, static_cast<size_t>(p), &pieces);
+          for (auto& [target, piece] : pieces) {
+            route(i, target, std::move(piece));
+          }
         }
       }
     });
@@ -821,46 +837,9 @@ TEST(ExchangeParityTest, ScatterShuffleMatchesTheSerialLoop) {
     ChargeExchange(ref_ctx, "Parity", ref.tally, 0.0);
     EXPECT_EQ(PartitionsOf(out), ref.parts);
     EXPECT_EQ(ChargesOf(ctx), ChargesOf(ref_ctx));
-    EXPECT_EQ(splitters.load(), p);
+    EXPECT_EQ(copies.load(), p);
     EXPECT_EQ(foreign_source.load(), 0);
   });
-}
-
-TEST(BulkIterationTest, RunsBodyUntilBound) {
-  auto ctx = Ctx(2);
-  auto initial = Dataset<int>::FromVector(ctx, {1});
-  std::vector<uint64_t> sizes;
-  BulkIterate<int>(
-      initial, 5,
-      [](const Dataset<int>& working, int) {
-        return working.FlatMap<int>([](const int& x, std::vector<int>* out) {
-          out->push_back(x * 2);
-          out->push_back(x * 2 + 1);
-        });
-      },
-      [&sizes](const Dataset<int>& working, int) {
-        uint64_t n = 0;
-        for (int p = 0; p < working.num_partitions(); ++p) {
-          n += working.partition(p).size();
-        }
-        sizes.push_back(n);
-      });
-  EXPECT_EQ(sizes, (std::vector<uint64_t>{2, 4, 8, 16, 32}));
-}
-
-TEST(BulkIterationTest, TerminatesWhenWorkingSetEmpty) {
-  auto ctx = Ctx(2);
-  auto initial = Dataset<int>::FromVector(ctx, {4});
-  int iterations = 0;
-  BulkIterate<int>(
-      initial, 100,
-      [](const Dataset<int>& working, int) {
-        return working.FlatMap<int>([](const int& x, std::vector<int>* out) {
-          if (x > 1) out->push_back(x / 2);
-        });
-      },
-      [&iterations](const Dataset<int>&, int) { ++iterations; });
-  EXPECT_EQ(iterations, 3);  // 4 -> 2 -> 1 -> (empty input stops loop)
 }
 
 // --- cost model ------------------------------------------------------------

@@ -178,7 +178,7 @@ TEST(PartitioningAuditTest, CountMisplacedRecordsFindsTheStray) {
   std::vector<std::vector<uint64_t>> parts(p);
   for (uint64_t v = 0; v < 40; ++v) parts[hasher(v) % p].push_back(v);
 
-  auto key = [](const uint64_t& v) { return v; };
+  const dataflow::KeyPlacement key([](const uint64_t& v) { return v; });
   uint64_t checked = 0;
   EXPECT_EQ(CountMisplacedRecords(parts, key, &checked), 0u);
   EXPECT_EQ(checked, 40u);
