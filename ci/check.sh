@@ -127,6 +127,15 @@ if [[ "${ONLY}" == "all" || "${ONLY}" == "tsan" ]]; then
     GRADOOP_AUDIT_PARTITIONING=1 "${OUT}/tsan/tools/cypher_explain" \
       --analyze --engine "${engine}" --ldbc >/dev/null
   done
+  # The scatter and adopt paths under the race detector with many small
+  # batches: every join repartitions, each routing task scatters with its
+  # own copy of the placement and adopted sides are re-audited row by row.
+  # (The runs above cover the broadcast build side: one chain of batches
+  # read in place by every partition task at once.)
+  echo "=== [tsan] batch engine at --batch-size 7 without broadcasts ==="
+  GRADOOP_AUDIT_PARTITIONING=1 "${OUT}/tsan/tools/cypher_explain" \
+    --analyze --no-broadcast --engine batch --batch-size 7 --ldbc \
+    "${ROOT}"/examples/queries/*.cypher >/dev/null
 fi
 
 # Query lint stage: run the semantic analyzer over every query the repo
