@@ -12,7 +12,7 @@ namespace gradoop::dataflow {
 // cost model's price for the paper's hash-join state, not the size of
 // any host data structure — the host kernels' tables are smaller, and the
 // value does not follow them.
-// Charged by Dataset::HashJoin when accounting is on; the static analysis
+// Charged by Dataset::EquiJoin when accounting is on; the static analysis
 // (query/exec/memory_bound.h) prices build tables with the same constant
 // so estimate and measurement stay in one currency.
 inline constexpr uint64_t kHashTableEntryBytes = 64;

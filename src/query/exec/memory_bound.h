@@ -43,7 +43,7 @@ inline constexpr uint64_t kEntryWidthBytes = 9;        // flag + 8B payload
 inline constexpr uint64_t kPropertyBytesEstimate = 24;
 inline constexpr uint64_t kPathBytesEstimate = 48;
 // Per-row overhead of a join build table — the same constant
-// Dataset::HashJoin charges the accountant, so the model and the
+// Dataset::EquiJoin charges the accountant, so the model and the
 // measurement price tables identically.
 inline constexpr uint64_t kJoinTableEntryBytes =
     dataflow::kHashTableEntryBytes;
