@@ -84,8 +84,8 @@ MemoryBound DeriveNode(const PhysicalOperator& op, int num_workers,
         // side once and the build side once per worker (on a cluster each
         // worker holds a copy; the host reads one chain in place), and
         // each worker builds a hash table over the full build side. The
-        // bound keeps one build-side copy more than that charge.
-        b.state_bytes = left_bytes + (p + 1) * right_bytes +
+        // bound is that charge.
+        b.state_bytes = left_bytes + p * right_bytes +
                         p * right_rows * kJoinTableEntryBytes;
       } else {
         // Repartition: each side is staged once, shuffled or (when its

@@ -164,18 +164,18 @@ TEST(ExplainAnalyzeTest, UnsatisfiableQueryShortCircuits) {
 std::vector<GoldenCase>& Cases() {
   static std::vector<GoldenCase> cases = {
       {"ldbc_q1", ldbc::Query1("Alice"),
-       R"(JoinEmbeddings(on message, broadcast) ~35 mem=119315B/95251B rows=35 qerror=1.00 sel=0.05
+       R"(JoinEmbeddings(on message, broadcast) ~35 mem=117635B/95251B rows=35 qerror=1.00 sel=0.05
   ScanVertices(message:Comment|Post) ~700 mem=48300B/36680B rows=700 qerror=1.00 sel=1.00
-  JoinEmbeddings(on person, broadcast) ~35 mem=58190B/58571B rows=35 qerror=1.00 sel=0.05
+  JoinEmbeddings(on person, broadcast) ~35 mem=58085B/58571B rows=35 qerror=1.00 sel=0.05
     ScanEdges(  __e0:hasCreator) ~700 mem=27300B/27300B rows=700 qerror=1.00 sel=1.00
     ScanVertices(person:Person) ~5 mem=105B/231B rows=11 qerror=2.20 sel=1.00
 )"},
       {"ldbc_q2", ldbc::Query2("Alice"),
-       R"(JoinEmbeddings(on post, broadcast) ~385 mem=420450B/169062B rows=35 qerror=11.00 sel=0.10
+       R"(JoinEmbeddings(on post, broadcast) ~385 mem=399750B/169062B rows=35 qerror=11.00 sel=0.10
   ExpandEmbeddings(  __e1*0..10) ~385 mem=209420B/95251B rows=68 qerror=5.66 sel=1.94
-    JoinEmbeddings(on message, broadcast) ~35 mem=119315B/95251B rows=35 qerror=1.00 sel=0.05
+    JoinEmbeddings(on message, broadcast) ~35 mem=117635B/95251B rows=35 qerror=1.00 sel=0.05
       ScanVertices(message:Comment|Post) ~700 mem=48300B/36680B rows=700 qerror=1.00 sel=1.00
-      JoinEmbeddings(on person, broadcast) ~35 mem=58190B/58571B rows=35 qerror=1.00 sel=0.05
+      JoinEmbeddings(on person, broadcast) ~35 mem=58085B/58571B rows=35 qerror=1.00 sel=0.05
         ScanEdges(  __e0:hasCreator) ~700 mem=27300B/27300B rows=700 qerror=1.00 sel=1.00
         ScanVertices(person:Person) ~5 mem=105B/231B rows=11 qerror=2.20 sel=1.00
   ScanVertices(post:Post) ~300 mem=20700B/15190B rows=300 qerror=1.00 sel=1.00
@@ -184,31 +184,31 @@ std::vector<GoldenCase>& Cases() {
        R"(JoinEmbeddings(on post, broadcast) ~23 mem=395516B/558292B rows=15 qerror=1.54 sel=0.05
   ScanVertices(post:Post) ~300 mem=13500B/11290B rows=300 qerror=1.00 sel=1.00
   ExpandEmbeddings(  __e2*1..10) ~23 mem=382016B/547002B rows=23 qerror=1.00 sel=0.02
-    JoinEmbeddings(on p1, broadcast) ~691 mem=341466B/547002B rows=1178 qerror=1.71 sel=1.04
+    JoinEmbeddings(on p1, broadcast) ~691 mem=322755B/547002B rows=1178 qerror=1.71 sel=1.04
       ScanEdges(  __e3:hasCreator) ~700 mem=27300B/27300B rows=700 qerror=1.00 sel=1.00
-      JoinEmbeddings(on comment, broadcast) ~99 mem=167775B/519702B rows=428 qerror=4.34 sel=0.46
+      JoinEmbeddings(on comment, broadcast) ~99 mem=149955B/519702B rows=428 qerror=4.34 sel=0.46
         ScanVertices(comment:Comment) ~400 mem=8400B/8400B rows=400 qerror=1.00 sel=1.00
-        JoinEmbeddings(on p2, broadcast) ~99 mem=90030B/105602B rows=522 qerror=5.29 sel=0.71
+        JoinEmbeddings(on p2, broadcast) ~99 mem=87735B/105602B rows=522 qerror=5.29 sel=0.71
           ScanEdges(  __e1:hasCreator) ~700 mem=27300B/27300B rows=700 qerror=1.00 sel=1.00
-          JoinEmbeddings(on p2, broadcast) ~14 mem=33686B/34798B rows=39 qerror=2.77 sel=0.28
+          JoinEmbeddings(on p2, broadcast) ~14 mem=33341B/34798B rows=39 qerror=2.77 sel=0.28
             ScanVertices(p2:Person) ~100 mem=6900B/4922B rows=100 qerror=1.00 sel=1.00
-            JoinEmbeddings(on p1, broadcast) ~14 mem=26786B/27557B rows=39 qerror=2.77 sel=0.13
+            JoinEmbeddings(on p1, broadcast) ~14 mem=26441B/27557B rows=39 qerror=2.77 sel=0.13
               ScanEdges(  __e0:knows) ~282 mem=10998B/10998B rows=282 qerror=1.00 sel=1.00
               ScanVertices(p1:Person) ~5 mem=345B/549B rows=11 qerror=2.20 sel=1.00
 )"},
       {"ldbc_q4", ldbc::Query4(),
-       R"(JoinEmbeddings(on tag, broadcast) ~199 mem=224800B/116814B rows=156 qerror=1.28 sel=0.61
-  JoinEmbeddings(on person, broadcast) ~199 mem=166564B/82120B rows=156 qerror=1.28 sel=0.31
+       R"(JoinEmbeddings(on tag, broadcast) ~199 mem=220300B/116814B rows=156 qerror=1.28 sel=0.61
+  JoinEmbeddings(on person, broadcast) ~199 mem=155857B/82120B rows=156 qerror=1.28 sel=0.31
     ScanEdges(  __e1:hasInterest) ~463 mem=18057B/18057B rows=463 qerror=1.00 sel=1.00
-    JoinEmbeddings(on uni, broadcast) ~43 mem=75220B/50110B rows=36 qerror=1.19 sel=0.64
-      JoinEmbeddings(on person, broadcast) ~43 mem=75220B/50110B rows=36 qerror=1.19 sel=0.30
+    JoinEmbeddings(on uni, broadcast) ~43 mem=67093B/50110B rows=36 qerror=1.19 sel=0.64
+      JoinEmbeddings(on person, broadcast) ~43 mem=67093B/50110B rows=36 qerror=1.19 sel=0.30
         ScanEdges(  __e2:studyAt) ~79 mem=3081B/3081B rows=79 qerror=1.00 sel=1.00
-        JoinEmbeddings(on city, broadcast) ~43 mem=63883B/42474B rows=43 qerror=1.00 sel=0.46
+        JoinEmbeddings(on city, broadcast) ~43 mem=57175B/42474B rows=43 qerror=1.00 sel=0.46
           ScanVertices(city:City) ~50 mem=2250B/1841B rows=50 qerror=1.00 sel=1.00
-          JoinEmbeddings(on person, broadcast) ~43 mem=58798B/40633B rows=43 qerror=1.00 sel=0.30
+          JoinEmbeddings(on person, broadcast) ~43 mem=53251B/40633B rows=43 qerror=1.00 sel=0.30
             ScanEdges(  __e0:isLocatedIn) ~100 mem=3900B/3900B rows=100 qerror=1.00 sel=1.00
-            JoinEmbeddings(on forum, broadcast) ~43 mem=38998B/29237B rows=43 qerror=1.00 sel=0.90
-              JoinEmbeddings(on person, broadcast) ~43 mem=38998B/29237B rows=43 qerror=1.00 sel=0.30
+            JoinEmbeddings(on forum, broadcast) ~43 mem=37321B/29237B rows=43 qerror=1.00 sel=0.90
+              JoinEmbeddings(on person, broadcast) ~43 mem=37321B/29237B rows=43 qerror=1.00 sel=0.30
                 ScanVertices(person:Person) ~100 mem=6900B/4922B rows=100 qerror=1.00 sel=1.00
                 ScanEdges(  __e3:hasMember|hasModerator) ~43 mem=1677B/1677B rows=43 qerror=1.00 sel=1.00
               ScanVertices(forum:Forum) ~5 mem=225B/185B rows=5 qerror=1.00 sel=1.00
@@ -216,32 +216,32 @@ std::vector<GoldenCase>& Cases() {
   ScanVertices(tag:Tag) ~100 mem=4500B/3780B rows=100 qerror=1.00 sel=1.00
 )"},
       {"ldbc_q5", ldbc::Query5(),
-       R"(JoinEmbeddings(on p1,p3, broadcast) ~22 mem=527256B/430400B rows=164 qerror=7.31 sel=0.14
-  JoinEmbeddings(on p2, broadcast) ~795 mem=432048B/223700B rows=886 qerror=1.11 sel=1.57
-    JoinEmbeddings(on p1, broadcast) ~282 mem=116068B/72206B rows=282 qerror=1.00 sel=0.74
+       R"(JoinEmbeddings(on p1,p3, broadcast) ~22 mem=500184B/430400B rows=164 qerror=7.31 sel=0.14
+  JoinEmbeddings(on p2, broadcast) ~795 mem=404976B/223700B rows=886 qerror=1.11 sel=1.57
+    JoinEmbeddings(on p1, broadcast) ~282 mem=109168B/72206B rows=282 qerror=1.00 sel=0.74
       ScanEdges(  __e0:knows) ~282 mem=10998B/10998B rows=282 qerror=1.00 sel=1.00
       ScanVertices(p1:Person) ~100 mem=6900B/4922B rows=100 qerror=1.00 sel=1.00
-    JoinEmbeddings(on p2, broadcast) ~282 mem=116068B/72206B rows=282 qerror=1.00 sel=0.74
+    JoinEmbeddings(on p2, broadcast) ~282 mem=109168B/72206B rows=282 qerror=1.00 sel=0.74
       ScanEdges(  __e1:knows) ~282 mem=10998B/10998B rows=282 qerror=1.00 sel=1.00
       ScanVertices(p2:Person) ~100 mem=6900B/4922B rows=100 qerror=1.00 sel=1.00
-  JoinEmbeddings(on p3, broadcast) ~282 mem=116068B/72206B rows=282 qerror=1.00 sel=0.74
+  JoinEmbeddings(on p3, broadcast) ~282 mem=109168B/72206B rows=282 qerror=1.00 sel=0.74
     ScanEdges(  __e2:knows) ~282 mem=10998B/10998B rows=282 qerror=1.00 sel=1.00
     ScanVertices(p3:Person) ~100 mem=6900B/4922B rows=100 qerror=1.00 sel=1.00
 )"},
       {"ldbc_q6", ldbc::Query6(),
-       R"(JoinEmbeddings(on p2, broadcast) ~280 mem=640240B/543972B rows=1354 qerror=4.84 sel=1.79
-  JoinEmbeddings(on t2, broadcast) ~463 mem=122050B/80614B rows=463 qerror=1.00 sel=0.82
+       R"(JoinEmbeddings(on p2, broadcast) ~280 mem=618016B/543972B rows=1354 qerror=4.84 sel=1.79
+  JoinEmbeddings(on t2, broadcast) ~463 mem=117550B/80614B rows=463 qerror=1.00 sel=0.82
     ScanEdges(  __e3:hasInterest) ~463 mem=18057B/18057B rows=463 qerror=1.00 sel=1.00
     ScanVertices(t2:Tag) ~100 mem=4500B/3780B rows=100 qerror=1.00 sel=1.00
-  JoinEmbeddings(on p1,t1, broadcast) ~60 mem=606904B/513962B rows=293 qerror=4.85 sel=0.17
-    JoinEmbeddings(on p2, broadcast) ~1306 mem=458358B/229216B rows=1261 qerror=1.04 sel=1.69
+  JoinEmbeddings(on p1,t1, broadcast) ~60 mem=584680B/513962B rows=293 qerror=4.85 sel=0.17
+    JoinEmbeddings(on p2, broadcast) ~1306 mem=428748B/229216B rows=1261 qerror=1.04 sel=1.69
       ScanEdges(  __e2:hasInterest) ~463 mem=18057B/18057B rows=463 qerror=1.00 sel=1.00
-      JoinEmbeddings(on p2, broadcast) ~282 mem=121954B/79388B rows=282 qerror=1.00 sel=0.74
-        JoinEmbeddings(on p1, broadcast) ~282 mem=116068B/72206B rows=282 qerror=1.00 sel=0.74
+      JoinEmbeddings(on p2, broadcast) ~282 mem=119854B/79388B rows=282 qerror=1.00 sel=0.74
+        JoinEmbeddings(on p1, broadcast) ~282 mem=109168B/72206B rows=282 qerror=1.00 sel=0.74
           ScanEdges(  __e0:knows) ~282 mem=10998B/10998B rows=282 qerror=1.00 sel=1.00
           ScanVertices(p1:Person) ~100 mem=6900B/4922B rows=100 qerror=1.00 sel=1.00
         ScanVertices(p2:Person) ~100 mem=2100B/2100B rows=100 qerror=1.00 sel=1.00
-    JoinEmbeddings(on t1, broadcast) ~463 mem=96538B/72214B rows=463 qerror=1.00 sel=0.82
+    JoinEmbeddings(on t1, broadcast) ~463 mem=94438B/72214B rows=463 qerror=1.00 sel=0.82
       ScanEdges(  __e1:hasInterest) ~463 mem=18057B/18057B rows=463 qerror=1.00 sel=1.00
       ScanVertices(t1:Tag) ~100 mem=2100B/2100B rows=100 qerror=1.00 sel=1.00
 )"},
@@ -252,18 +252,18 @@ std::vector<GoldenCase>& Cases() {
 std::vector<GoldenCase>& BatchEngineExplainCases() {
   static std::vector<GoldenCase> cases = {
       {"ldbc_q1", ldbc::Query1("Alice"),
-       R"(JoinEmbeddings(on message, broadcast) ~35 mem=119315B batch=1024
+       R"(JoinEmbeddings(on message, broadcast) ~35 mem=117635B batch=1024
   ScanVertices(message:Comment|Post) ~700 mem=48300B batch=1024
-  JoinEmbeddings(on person, broadcast) ~35 mem=58190B batch=1024
+  JoinEmbeddings(on person, broadcast) ~35 mem=58085B batch=1024
     ScanEdges(  __e0:hasCreator) ~700 mem=27300B batch=1024
     ScanVertices(person:Person) ~5 mem=105B batch=1024
 )"},
       {"ldbc_q2", ldbc::Query2("Alice"),
-       R"(JoinEmbeddings(on post, broadcast) ~385 mem=420450B batch=1024
+       R"(JoinEmbeddings(on post, broadcast) ~385 mem=399750B batch=1024
   ExpandEmbeddings(  __e1*0..10) ~385 mem=209420B batch=1024
-    JoinEmbeddings(on message, broadcast) ~35 mem=119315B batch=1024
+    JoinEmbeddings(on message, broadcast) ~35 mem=117635B batch=1024
       ScanVertices(message:Comment|Post) ~700 mem=48300B batch=1024
-      JoinEmbeddings(on person, broadcast) ~35 mem=58190B batch=1024
+      JoinEmbeddings(on person, broadcast) ~35 mem=58085B batch=1024
         ScanEdges(  __e0:hasCreator) ~700 mem=27300B batch=1024
         ScanVertices(person:Person) ~5 mem=105B batch=1024
   ScanVertices(post:Post) ~300 mem=20700B batch=1024
@@ -272,31 +272,31 @@ std::vector<GoldenCase>& BatchEngineExplainCases() {
        R"(JoinEmbeddings(on post, broadcast) ~23 mem=395516B batch=1024
   ScanVertices(post:Post) ~300 mem=13500B batch=1024
   ExpandEmbeddings(  __e2*1..10) ~23 mem=382016B batch=1024
-    JoinEmbeddings(on p1, broadcast) ~691 mem=341466B batch=1024
+    JoinEmbeddings(on p1, broadcast) ~691 mem=322755B batch=1024
       ScanEdges(  __e3:hasCreator) ~700 mem=27300B batch=1024
-      JoinEmbeddings(on comment, broadcast) ~99 mem=167775B batch=1024
+      JoinEmbeddings(on comment, broadcast) ~99 mem=149955B batch=1024
         ScanVertices(comment:Comment) ~400 mem=8400B batch=1024
-        JoinEmbeddings(on p2, broadcast) ~99 mem=90030B batch=1024
+        JoinEmbeddings(on p2, broadcast) ~99 mem=87735B batch=1024
           ScanEdges(  __e1:hasCreator) ~700 mem=27300B batch=1024
-          JoinEmbeddings(on p2, broadcast) ~14 mem=33686B batch=1024
+          JoinEmbeddings(on p2, broadcast) ~14 mem=33341B batch=1024
             ScanVertices(p2:Person) ~100 mem=6900B batch=1024
-            JoinEmbeddings(on p1, broadcast) ~14 mem=26786B batch=1024
+            JoinEmbeddings(on p1, broadcast) ~14 mem=26441B batch=1024
               ScanEdges(  __e0:knows) ~282 mem=10998B batch=1024
               ScanVertices(p1:Person) ~5 mem=345B batch=1024
 )"},
       {"ldbc_q4", ldbc::Query4(),
-       R"(JoinEmbeddings(on tag, broadcast) ~199 mem=224800B batch=1024
-  JoinEmbeddings(on person, broadcast) ~199 mem=166564B batch=1024
+       R"(JoinEmbeddings(on tag, broadcast) ~199 mem=220300B batch=1024
+  JoinEmbeddings(on person, broadcast) ~199 mem=155857B batch=1024
     ScanEdges(  __e1:hasInterest) ~463 mem=18057B batch=1024
-    JoinEmbeddings(on uni, broadcast) ~43 mem=75220B batch=1024
-      JoinEmbeddings(on person, broadcast) ~43 mem=75220B batch=1024
+    JoinEmbeddings(on uni, broadcast) ~43 mem=67093B batch=1024
+      JoinEmbeddings(on person, broadcast) ~43 mem=67093B batch=1024
         ScanEdges(  __e2:studyAt) ~79 mem=3081B batch=1024
-        JoinEmbeddings(on city, broadcast) ~43 mem=63883B batch=1024
+        JoinEmbeddings(on city, broadcast) ~43 mem=57175B batch=1024
           ScanVertices(city:City) ~50 mem=2250B batch=1024
-          JoinEmbeddings(on person, broadcast) ~43 mem=58798B batch=1024
+          JoinEmbeddings(on person, broadcast) ~43 mem=53251B batch=1024
             ScanEdges(  __e0:isLocatedIn) ~100 mem=3900B batch=1024
-            JoinEmbeddings(on forum, broadcast) ~43 mem=38998B batch=1024
-              JoinEmbeddings(on person, broadcast) ~43 mem=38998B batch=1024
+            JoinEmbeddings(on forum, broadcast) ~43 mem=37321B batch=1024
+              JoinEmbeddings(on person, broadcast) ~43 mem=37321B batch=1024
                 ScanVertices(person:Person) ~100 mem=6900B batch=1024
                 ScanEdges(  __e3:hasMember|hasModerator) ~43 mem=1677B batch=1024
               ScanVertices(forum:Forum) ~5 mem=225B batch=1024
@@ -304,32 +304,32 @@ std::vector<GoldenCase>& BatchEngineExplainCases() {
   ScanVertices(tag:Tag) ~100 mem=4500B batch=1024
 )"},
       {"ldbc_q5", ldbc::Query5(),
-       R"(JoinEmbeddings(on p1,p3, broadcast) ~22 mem=527256B batch=1024
-  JoinEmbeddings(on p2, broadcast) ~795 mem=432048B batch=1024
-    JoinEmbeddings(on p1, broadcast) ~282 mem=116068B batch=1024
+       R"(JoinEmbeddings(on p1,p3, broadcast) ~22 mem=500184B batch=1024
+  JoinEmbeddings(on p2, broadcast) ~795 mem=404976B batch=1024
+    JoinEmbeddings(on p1, broadcast) ~282 mem=109168B batch=1024
       ScanEdges(  __e0:knows) ~282 mem=10998B batch=1024
       ScanVertices(p1:Person) ~100 mem=6900B batch=1024
-    JoinEmbeddings(on p2, broadcast) ~282 mem=116068B batch=1024
+    JoinEmbeddings(on p2, broadcast) ~282 mem=109168B batch=1024
       ScanEdges(  __e1:knows) ~282 mem=10998B batch=1024
       ScanVertices(p2:Person) ~100 mem=6900B batch=1024
-  JoinEmbeddings(on p3, broadcast) ~282 mem=116068B batch=1024
+  JoinEmbeddings(on p3, broadcast) ~282 mem=109168B batch=1024
     ScanEdges(  __e2:knows) ~282 mem=10998B batch=1024
     ScanVertices(p3:Person) ~100 mem=6900B batch=1024
 )"},
       {"ldbc_q6", ldbc::Query6(),
-       R"(JoinEmbeddings(on p2, broadcast) ~280 mem=640240B batch=1024
-  JoinEmbeddings(on t2, broadcast) ~463 mem=122050B batch=1024
+       R"(JoinEmbeddings(on p2, broadcast) ~280 mem=618016B batch=1024
+  JoinEmbeddings(on t2, broadcast) ~463 mem=117550B batch=1024
     ScanEdges(  __e3:hasInterest) ~463 mem=18057B batch=1024
     ScanVertices(t2:Tag) ~100 mem=4500B batch=1024
-  JoinEmbeddings(on p1,t1, broadcast) ~60 mem=606904B batch=1024
-    JoinEmbeddings(on p2, broadcast) ~1306 mem=458358B batch=1024
+  JoinEmbeddings(on p1,t1, broadcast) ~60 mem=584680B batch=1024
+    JoinEmbeddings(on p2, broadcast) ~1306 mem=428748B batch=1024
       ScanEdges(  __e2:hasInterest) ~463 mem=18057B batch=1024
-      JoinEmbeddings(on p2, broadcast) ~282 mem=121954B batch=1024
-        JoinEmbeddings(on p1, broadcast) ~282 mem=116068B batch=1024
+      JoinEmbeddings(on p2, broadcast) ~282 mem=119854B batch=1024
+        JoinEmbeddings(on p1, broadcast) ~282 mem=109168B batch=1024
           ScanEdges(  __e0:knows) ~282 mem=10998B batch=1024
           ScanVertices(p1:Person) ~100 mem=6900B batch=1024
         ScanVertices(p2:Person) ~100 mem=2100B batch=1024
-    JoinEmbeddings(on t1, broadcast) ~463 mem=96538B batch=1024
+    JoinEmbeddings(on t1, broadcast) ~463 mem=94438B batch=1024
       ScanEdges(  __e1:hasInterest) ~463 mem=18057B batch=1024
       ScanVertices(t1:Tag) ~100 mem=2100B batch=1024
 )"},

@@ -184,10 +184,10 @@ TEST(TransferFunctionTest, BroadcastJoinScalesWithWorkerCount) {
   const uint64_t right_out = right->properties().memory.output_bytes;
   for (int p : {2, 4, 8}) {
     const MemoryBound b = DeriveMemoryBound(join, p);
-    // The build side is concatenated once and replicated to p workers,
-    // each of which builds a table over all 8 build rows.
+    // Each of the p workers holds the whole build side and builds a
+    // table over all 8 build rows.
     EXPECT_EQ(b.state_bytes,
-              left_out + (static_cast<uint64_t>(p) + 1) * right_out +
+              left_out + static_cast<uint64_t>(p) * right_out +
                   static_cast<uint64_t>(p) * 8 * kJoinTableEntryBytes)
         << "p=" << p;
   }
@@ -306,6 +306,57 @@ TEST(MemoryAccountingTest, BothJoinStrategiesChargeTheAccountant) {
     EXPECT_GT(ctx->accountant().peak_bytes(), 0u);
     // The transient staging + build table was released at kernel exit.
     EXPECT_EQ(ctx->accountant().current_bytes(), 0u);
+  }
+}
+
+TEST(MemoryAccountingTest, BroadcastBoundHoldsTheBuildSideAsOftenAsTheCharge) {
+  // The static bound and Dataset::EquiJoin's charge both hold the probe
+  // side once and a hash table entry per build row per worker. What is
+  // left, the build-side term, must count the same number of build-side
+  // copies: one per worker.
+  constexpr uint64_t kBuildRows = 8;
+  auto qg = QG("MATCH (a)-[e:knows]->(b) RETURN *");
+  auto left_scan = MakeScan(qg, "a", 0, 4.0);
+  auto right_scan = MakeScan(qg, "b", 1, static_cast<double>(kBuildRows));
+  auto merged = EmbeddingMetaData::Merge(left_scan->output_meta(),
+                                         right_scan->output_meta());
+  exec::JoinOp join_op(merged, 5.0, MorphismSetting::Neo4j(), {}, left_scan,
+                       right_scan, {"a"}, {0}, {0},
+                       dataflow::JoinStrategy::kBroadcast);
+  const uint64_t left_out = left_scan->properties().memory.output_bytes;
+  const uint64_t right_out = right_scan->properties().memory.output_bytes;
+  static_assert(kJoinTableEntryBytes == dataflow::kHashTableEntryBytes);
+
+  std::vector<uint64_t> probe(12), build(kBuildRows);
+  for (size_t i = 0; i < probe.size(); ++i) probe[i] = i % kBuildRows;
+  for (size_t i = 0; i < build.size(); ++i) build[i] = i;
+  const uint64_t probe_bytes = probe.size() * sizeof(uint64_t);
+  const uint64_t build_bytes = build.size() * sizeof(uint64_t);
+  for (const uint64_t p : {1u, 4u}) {
+    const uint64_t tables = p * kBuildRows * kJoinTableEntryBytes;
+    const uint64_t bound_build_side =
+        DeriveMemoryBound(join_op, static_cast<int>(p)).state_bytes -
+        left_out - tables;
+
+    dataflow::ClusterConfig config;
+    config.num_workers = static_cast<int>(p);
+    auto ctx = dataflow::MakeContext(config);
+    auto left = dataflow::Dataset<uint64_t>::FromVector(ctx, probe);
+    auto right = dataflow::Dataset<uint64_t>::FromVector(ctx, build);
+    ctx->accountant().Enable();
+    auto key = [](const uint64_t& v) { return v; };
+    auto joined = left.HashJoin<uint64_t>(
+        right, key, key,
+        [](const uint64_t& l, const uint64_t&, std::vector<uint64_t>* out) {
+          out->push_back(l);
+        },
+        dataflow::JoinStrategy::kBroadcast, "BroadcastBoundProbe");
+    const uint64_t charged_build_side =
+        ctx->accountant().peak_bytes() - probe_bytes - tables;
+    EXPECT_EQ(joined.Count(), probe.size());
+
+    EXPECT_EQ(bound_build_side, p * right_out) << "p=" << p;
+    EXPECT_EQ(charged_build_side, p * build_bytes) << "p=" << p;
   }
 }
 
