@@ -20,6 +20,7 @@
 //     value_join_key    per_probe_row
 //     expand_hop        per_hop | per_record
 //     leaf_scan         comment_post | has_creator | person_filtered
+//     load_pass         index_build | statistics
 //
 // The last five time batch engine kernels per row, record, hop or
 // scanned element, not per call. The join and conversion rows run on a one-worker context
@@ -34,6 +35,9 @@
 // of LDBC Q1 on the engine's graph and pool, per element of the scanned
 // labels: the unfiltered Comment|Post scan projecting two properties,
 // the hasCreator edge scan and the Person scan filtered on firstName.
+// load_pass times engine set-up's two passes over the engine's graph on
+// its pool, per vertex and edge: IndexedLogicalGraph::Build's label split
+// and GraphStatistics::Compute.
 //
 // Modes alternate inside one loop and every round reverses their order,
 // so no mode always runs first (cold). Each mode after an overhead's
@@ -68,6 +72,7 @@
 #include "epgm/adjacency_index.h"
 #include "epgm/indexed_logical_graph.h"
 #include "query/batch_operators.h"
+#include "query/graph_statistics.h"
 
 namespace {
 
@@ -473,6 +478,11 @@ int main() {
     }
   };
 
+  // Set-up's passes over the engine's graph.
+  const gradoop::epgm::LogicalGraph& graph = engine.graph();
+  const uint64_t graph_elements =
+      elements_in(graph.vertices()) + elements_in(graph.edges());
+
   const MicroLoop loops[] = {
       {"cancellation",
        5'000'000,
@@ -573,6 +583,20 @@ int main() {
         {"comment_post_elements", std::to_string(message_count)},
         {"has_creator_elements", std::to_string(has_creator_count)},
         {"person_elements", std::to_string(person_count)}}},
+      {"load_pass",
+       4 * graph_elements,
+       {{"index_build", NsPerRow(graph_elements, [&] {
+           const auto split = gradoop::epgm::IndexedLogicalGraph::Build(graph);
+           g_sink = g_sink + split.EdgeLabels().size();
+         })},
+        {"statistics", NsPerRow(graph_elements, [&] {
+           const auto stats = gradoop::query::GraphStatistics::Compute(graph);
+           g_sink = g_sink + stats.distinct_source_count();
+         })}},
+       {{"sf", Fixed(sf, 2)},
+        {"workers", std::to_string(kWorkers)},
+        {"elements", std::to_string(graph_elements)},
+        {"threads", std::to_string(pool.num_threads())}}},
   };
   for (const MicroLoop& loop : loops) {
     const std::vector<double> medians = InterleavedMedians(

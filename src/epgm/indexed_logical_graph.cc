@@ -1,31 +1,44 @@
 #include "epgm/indexed_logical_graph.h"
 
 #include <memory>
+#include <utility>
+
+#include "epgm/label_runs.h"
 
 namespace gradoop::epgm {
 
 namespace {
 
-// Splits one element dataset into per-label datasets without moving records
-// across partitions.
+// One partition's records grouped by label, each group in record order.
 template <typename T>
-std::map<std::string, dataflow::Dataset<T>> SplitByLabel(
-    const dataflow::Dataset<T>& input) {
+using LabelSplit = std::map<std::string, std::vector<T>>;
+
+template <typename T>
+void SplitPartition(const std::vector<T>& partition, LabelSplit<T>* out) {
+  ForEachByLabel(partition, out, [](std::vector<T>& bucket, const T& rec) {
+    bucket.push_back(rec);
+  });
+}
+
+// Moves the per-partition splits into one dataset per label; partition i
+// of every label's dataset is the label's group of partition i.
+template <typename T>
+std::map<std::string, dataflow::Dataset<T>> ByLabel(
+    const dataflow::ExecutionContextPtr& ctx,
+    std::vector<LabelSplit<T>>* splits) {
   using Partitions = typename dataflow::Dataset<T>::Partitions;
-  const int p = input.num_partitions();
+  const int p = static_cast<int>(splits->size());
   std::map<std::string, std::shared_ptr<Partitions>> buckets;
   for (int i = 0; i < p; ++i) {
-    for (const T& rec : input.partition(i)) {
-      auto it = buckets.find(rec.label);
-      if (it == buckets.end()) {
-        it = buckets.emplace(rec.label, std::make_shared<Partitions>(p)).first;
-      }
-      (*it->second)[i].push_back(rec);
+    for (auto& [label, records] : (*splits)[i]) {
+      std::shared_ptr<Partitions>& parts = buckets[label];
+      if (parts == nullptr) parts = std::make_shared<Partitions>(p);
+      (*parts)[i] = std::move(records);
     }
   }
   std::map<std::string, dataflow::Dataset<T>> out;
   for (auto& [label, parts] : buckets) {
-    out.emplace(label, dataflow::Dataset<T>(input.context(), parts));
+    out.emplace(label, dataflow::Dataset<T>(ctx, std::move(parts)));
   }
   return out;
 }
@@ -54,8 +67,23 @@ IndexedLogicalGraph IndexedLogicalGraph::Build(const LogicalGraph& graph) {
   IndexedLogicalGraph out;
   out.head_ = graph.head();
   out.ctx_ = graph.context();
-  out.vertices_by_label_ = SplitByLabel(graph.vertices());
-  out.edges_by_label_ = SplitByLabel(graph.edges());
+  // One pool task per vertex and per edge partition splits its own
+  // partition; no record crosses a partition.
+  const int vp = graph.vertices().num_partitions();
+  const int ep = graph.edges().num_partitions();
+  std::vector<LabelSplit<Vertex>> vertex_splits(vp);
+  std::vector<LabelSplit<Edge>> edge_splits(ep);
+  out.ctx_->pool().RunAndWait(vp + ep, [&](int task) {
+    if (task < vp) {
+      SplitPartition(graph.vertices().partition(task), &vertex_splits[task]);
+    } else {
+      SplitPartition(graph.edges().partition(task - vp),
+                     &edge_splits[task - vp]);
+    }
+  });
+  out.vertices_by_label_ =
+      ByLabel(graph.vertices().context(), &vertex_splits);
+  out.edges_by_label_ = ByLabel(graph.edges().context(), &edge_splits);
 
   // One narrow pass over all elements (load-time re-bucketing).
   dataflow::StageCost cost;

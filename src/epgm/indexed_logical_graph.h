@@ -22,7 +22,10 @@ class IndexedLogicalGraph {
   IndexedLogicalGraph() = default;
 
   // Splits the element datasets of `graph` label-wise, preserving each
-  // record's partition (a narrow, local re-bucketing — no shuffle).
+  // record's partition and order (a narrow, local re-bucketing — no
+  // shuffle). One task per vertex and per edge partition on the graph's
+  // pool splits its own partition; the per-label datasets are then
+  // assembled from the tasks' vectors without copying a record again.
   static IndexedLogicalGraph Build(const LogicalGraph& graph);
 
   const GraphHead& head() const { return head_; }

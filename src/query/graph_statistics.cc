@@ -1,43 +1,150 @@
 #include "query/graph_statistics.h"
 
+#include <algorithm>
 #include <fstream>
-#include <unordered_set>
+#include <utility>
 
 #include "common/strings.h"
+#include "dataflow/thread_pool.h"
+#include "epgm/label_runs.h"
 
 namespace gradoop::query {
 
+namespace {
+
+using epgm::GradoopId;
+
+// One partition's edges of one label: their count and endpoint ids, the
+// ids sorted and duplicate-free once the partition's task has ended.
+struct EdgeRuns {
+  uint64_t count = 0;
+  std::vector<GradoopId> sources;
+  std::vector<GradoopId> targets;
+};
+
+// What the statistics pass's task for one partition collects.
+struct PartitionTally {
+  std::map<std::string, uint64_t> vertex_labels;
+  std::map<std::string, EdgeRuns> edge_labels;
+};
+
+void SortUnique(std::vector<GradoopId>* ids) {
+  std::sort(ids->begin(), ids->end());
+  ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+}
+
+// Sorted, duplicate-free id runs whose union one merge task counts.
+using RunList = std::vector<const std::vector<GradoopId>*>;
+
+// Number of distinct ids in the union of `runs`: a k-way merge over a
+// min-heap of the run heads, O(n log k) for n ids in k runs.
+uint64_t CountDistinct(const RunList& runs) {
+  struct Head {
+    GradoopId id;
+    const GradoopId* next;
+    const GradoopId* end;
+  };
+  std::vector<Head> heap;
+  heap.reserve(runs.size());
+  for (const std::vector<GradoopId>* run : runs) {
+    if (!run->empty()) {
+      heap.push_back({run->front(), run->data() + 1, run->data() + run->size()});
+    }
+  }
+  if (heap.size() == 1) return heap[0].end - heap[0].next + 1;
+  const auto later = [](const Head& a, const Head& b) { return a.id > b.id; };
+  std::make_heap(heap.begin(), heap.end(), later);
+  uint64_t distinct = 0;
+  GradoopId last = 0;
+  // cancellation: one-time statistics build at graph load, before any
+  // query (and its token) exists.
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    Head& head = heap.back();
+    if (distinct == 0 || head.id != last) {
+      ++distinct;
+      last = head.id;
+    }
+    if (head.next == head.end) {
+      heap.pop_back();
+    } else {
+      head.id = *head.next++;
+      std::push_heap(heap.begin(), heap.end(), later);
+    }
+  }
+  return distinct;
+}
+
+}  // namespace
+
 GraphStatistics GraphStatistics::Compute(const epgm::LogicalGraph& graph) {
+  const dataflow::Dataset<epgm::Vertex>& vertices = graph.vertices();
+  const dataflow::Dataset<epgm::Edge>& edges = graph.edges();
+  const int p = std::max(vertices.num_partitions(), edges.num_partitions());
+  dataflow::ThreadPool& pool = graph.context()->pool();
+
+  // Pass 1, one task per partition: label counts, and each label's
+  // endpoint ids as sorted, duplicate-free runs.
+  std::vector<PartitionTally> tallies(p);
+  pool.RunAndWait(p, [&](int i) {
+    PartitionTally& tally = tallies[i];
+    if (i < vertices.num_partitions()) {
+      epgm::ForEachByLabel(vertices.partition(i), &tally.vertex_labels,
+                           [](uint64_t& count, const epgm::Vertex&) {
+                             ++count;
+                           });
+    }
+    if (i < edges.num_partitions()) {
+      epgm::ForEachByLabel(edges.partition(i), &tally.edge_labels,
+                           [](EdgeRuns& runs, const epgm::Edge& e) {
+                             runs.sources.push_back(e.source_id);
+                             runs.targets.push_back(e.target_id);
+                           });
+      for (auto& [label, runs] : tally.edge_labels) {
+        runs.count = runs.sources.size();
+        SortUnique(&runs.sources);
+        SortUnique(&runs.targets);
+      }
+    }
+  });
+
   GraphStatistics stats;
-  for (int p = 0; p < graph.vertices().num_partitions(); ++p) {
-    // cancellation: one-time statistics build at graph load, before any
-    // query (and its token) exists.
-    for (const epgm::Vertex& v : graph.vertices().partition(p)) {
-      ++stats.vertex_count_;
-      ++stats.vertex_label_count_[v.label];
+  std::map<std::string, std::pair<RunList, RunList>> runs_by_label;
+  RunList sources, targets;
+  for (const PartitionTally& tally : tallies) {
+    for (const auto& [label, count] : tally.vertex_labels) {
+      stats.vertex_count_ += count;
+      stats.vertex_label_count_[label] += count;
+    }
+    for (const auto& [label, runs] : tally.edge_labels) {
+      stats.edge_count_ += runs.count;
+      stats.edge_label_count_[label] += runs.count;
+      auto& [label_sources, label_targets] = runs_by_label[label];
+      label_sources.push_back(&runs.sources);
+      label_targets.push_back(&runs.targets);
+      sources.push_back(&runs.sources);
+      targets.push_back(&runs.targets);
     }
   }
-  std::unordered_set<epgm::GradoopId> sources, targets;
-  std::map<std::string, std::unordered_set<epgm::GradoopId>> sources_by_label,
-      targets_by_label;
-  for (int p = 0; p < graph.edges().num_partitions(); ++p) {
-    // cancellation: one-time statistics build (see above).
-    for (const epgm::Edge& e : graph.edges().partition(p)) {
-      ++stats.edge_count_;
-      ++stats.edge_label_count_[e.label];
-      sources.insert(e.source_id);
-      targets.insert(e.target_id);
-      sources_by_label[e.label].insert(e.source_id);
-      targets_by_label[e.label].insert(e.target_id);
-    }
+
+  // Pass 2, one task per direction overall and per (label, direction):
+  // merge the runs and count the distinct ids. The two overall merges,
+  // the largest, are claimed first.
+  std::vector<const RunList*> merges = {&sources, &targets};
+  for (const auto& [label, runs] : runs_by_label) {
+    merges.push_back(&runs.first);
+    merges.push_back(&runs.second);
   }
-  stats.distinct_source_count_ = sources.size();
-  stats.distinct_target_count_ = targets.size();
-  for (const auto& [label, ids] : sources_by_label) {
-    stats.distinct_source_by_label_[label] = ids.size();
-  }
-  for (const auto& [label, ids] : targets_by_label) {
-    stats.distinct_target_by_label_[label] = ids.size();
+  std::vector<uint64_t> distinct(merges.size());
+  pool.RunAndWait(static_cast<int>(merges.size()),
+                  [&](int m) { distinct[m] = CountDistinct(*merges[m]); });
+
+  stats.distinct_source_count_ = distinct[0];
+  stats.distinct_target_count_ = distinct[1];
+  size_t m = 2;
+  for (const auto& [label, runs] : runs_by_label) {
+    stats.distinct_source_by_label_[label] = distinct[m++];
+    stats.distinct_target_by_label_[label] = distinct[m++];
   }
   return stats;
 }

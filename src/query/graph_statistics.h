@@ -19,8 +19,13 @@ class GraphStatistics {
  public:
   GraphStatistics() = default;
 
-  // One pass over the element datasets (computed at load time, like
-  // Gradoop's statistics files).
+  // Computed once at load time, like Gradoop's statistics files, in two
+  // passes on the graph's pool: one task per partition counts each
+  // label's elements and sorts and deduplicates each edge label's source
+  // and target ids; then one task per direction, overall and per edge
+  // label, merges those sorted runs and counts the distinct ids. The
+  // result does not depend on the pool's size (docs/INTERNALS.md,
+  // "Engine set-up").
   static GraphStatistics Compute(const epgm::LogicalGraph& graph);
 
   uint64_t vertex_count() const { return vertex_count_; }

@@ -1,16 +1,28 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <latch>
+#include <map>
+#include <memory>
+#include <sstream>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "epgm/csv_io.h"
 #include "epgm/indexed_logical_graph.h"
 #include "epgm/logical_graph.h"
 #include "epgm/operators.h"
+#include "ldbc/ldbc_generator.h"
+#include "query/cypher_engine.h"
+#include "query/graph_statistics.h"
+
+#include "graph_shapes.h"
 
 namespace gradoop::epgm {
 namespace {
@@ -86,6 +98,168 @@ TEST(IndexedGraphTest, PreservesPartitionAlignment) {
   auto g = SmallGraph(Ctx(4));
   auto idx = IndexedLogicalGraph::Build(g);
   EXPECT_EQ(idx.VerticesByLabel("Person").num_partitions(), 4);
+}
+
+// --- label split parity -----------------------------------------------------
+
+// Per label, the label's records partition by partition.
+template <typename T>
+using LabelPartitions = std::map<std::string, std::vector<std::vector<T>>>;
+
+// What a serial split of `input` gives: partition i of a label holds the
+// label's records of input partition i, in input order.
+template <typename T>
+LabelPartitions<T> SerialSplit(const dataflow::Dataset<T>& input) {
+  LabelPartitions<T> out;
+  const int p = input.num_partitions();
+  for (int i = 0; i < p; ++i) {
+    for (const T& rec : input.partition(i)) {
+      std::vector<std::vector<T>>& parts = out[rec.label];
+      parts.resize(p);
+      parts[i].push_back(rec);
+    }
+  }
+  return out;
+}
+
+// The per-label datasets of `labels`, read through `by_label`.
+template <typename T, typename ByLabel>
+LabelPartitions<T> Read(const std::vector<std::string>& labels,
+                        ByLabel by_label) {
+  LabelPartitions<T> out;
+  for (const std::string& label : labels) {
+    const dataflow::Dataset<T> ds = by_label(label);
+    for (int i = 0; i < ds.num_partitions(); ++i) {
+      out[label].push_back(ds.partition(i));
+    }
+  }
+  return out;
+}
+
+LabelPartitions<Vertex> VerticesOf(const IndexedLogicalGraph& idx) {
+  return Read<Vertex>(idx.VertexLabels(), [&](const std::string& label) {
+    return idx.VerticesByLabel(label);
+  });
+}
+
+LabelPartitions<Edge> EdgesOf(const IndexedLogicalGraph& idx) {
+  return Read<Edge>(idx.EdgeLabels(), [&](const std::string& label) {
+    return idx.EdgesByLabel(label);
+  });
+}
+
+auto Fields(const Vertex& v) {
+  return std::tie(v.id, v.label, v.properties, v.graph_ids);
+}
+
+auto Fields(const Edge& e) {
+  return std::tie(e.id, e.label, e.source_id, e.target_id, e.properties,
+                  e.graph_ids);
+}
+
+template <typename T>
+void ExpectSameSplit(const LabelPartitions<T>& actual,
+                     const LabelPartitions<T>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (const auto& [label, parts] : expected) {
+    ASSERT_EQ(actual.count(label), 1u) << label;
+    const std::vector<std::vector<T>>& got = actual.at(label);
+    ASSERT_EQ(got.size(), parts.size()) << label;
+    for (size_t i = 0; i < parts.size(); ++i) {
+      ASSERT_EQ(got[i].size(), parts[i].size())
+          << label << " partition " << i;
+      for (size_t r = 0; r < parts[i].size(); ++r) {
+        EXPECT_TRUE(Fields(got[i][r]) == Fields(parts[i][r]))
+            << label << " partition " << i << " record " << r;
+      }
+    }
+  }
+}
+
+std::string Hex(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+TEST(IndexedGraphParityTest, SplitEqualsASerialSplitAndChargesOneStage) {
+  for (int host_threads : {1, 4}) {
+    for (const test_graphs::GraphShape& shape : test_graphs::ParityShapes()) {
+      SCOPED_TRACE(shape.name + " host_threads=" +
+                   std::to_string(host_threads));
+      auto ctx = test_graphs::ShapeContext(shape, host_threads);
+      const LogicalGraph graph = shape.build(ctx);
+      const int stages_before = ctx->tracker().NumStages();
+      const uint64_t records_before = ctx->tracker().TotalRecords();
+      const uint64_t network_before = ctx->tracker().NetworkBytes();
+      const IndexedLogicalGraph idx = IndexedLogicalGraph::Build(graph);
+
+      ExpectSameSplit(VerticesOf(idx), SerialSplit(graph.vertices()));
+      ExpectSameSplit(EdgesOf(idx), SerialSplit(graph.edges()));
+
+      // One narrow stage over every element, as the serial split charged
+      // it; the simulated seconds are compared bit for bit.
+      const std::vector<dataflow::StageCost> stages = ctx->tracker().Stages();
+      ASSERT_EQ(static_cast<int>(stages.size()), stages_before + 1);
+      const dataflow::StageCost& stage = stages.back();
+      uint64_t elements = 0;
+      for (int i = 0; i < graph.vertices().num_partitions(); ++i) {
+        elements += graph.vertices().partition(i).size() +
+                    graph.edges().partition(i).size();
+      }
+      const dataflow::ClusterConfig& cfg = ctx->config();
+      EXPECT_EQ(stage.label, "BuildIndex");
+      EXPECT_EQ(Hex(stage.compute_sec),
+                Hex(static_cast<double>(elements) / cfg.num_workers *
+                    cfg.seconds_per_record));
+      EXPECT_EQ(Hex(stage.network_sec), Hex(0.0));
+      EXPECT_EQ(Hex(stage.spill_sec), Hex(0.0));
+      EXPECT_EQ(Hex(stage.latency_sec), Hex(cfg.stage_latency_sec));
+      EXPECT_EQ(ctx->tracker().TotalRecords(), records_before);
+      EXPECT_EQ(ctx->tracker().NetworkBytes(), network_before);
+    }
+  }
+}
+
+std::string StatisticsFile(const query::GraphStatistics& stats) {
+  const std::string path =
+      ::testing::TempDir() + "gradoop_concurrent_setup.csv";
+  EXPECT_TRUE(stats.WriteToFile(path).ok());
+  std::ifstream in(path);
+  std::stringstream contents;
+  contents << in.rdbuf();
+  std::remove(path.c_str());
+  return contents.str();
+}
+
+TEST(IndexedGraphParityTest, EnginesBuiltConcurrentlyOnOneContextAgree) {
+  // Two threads set up an engine each over one graph, so both set-up
+  // passes submit their pool tasks to the same pool at the same time.
+  ldbc::LdbcConfig cfg;
+  cfg.scale_factor = 0.05;
+  const LogicalGraph graph = ldbc::LdbcGenerator(cfg).Generate(Ctx());
+  const query::CypherEngine serial(graph);
+  const std::string serial_stats = StatisticsFile(serial.statistics());
+
+  std::unique_ptr<query::CypherEngine> engines[2];
+  std::latch start(2);
+  std::vector<std::thread> threads;
+  for (auto& engine : engines) {
+    threads.emplace_back([&] {
+      start.arrive_and_wait();
+      engine = std::make_unique<query::CypherEngine>(graph);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (const auto& engine : engines) {
+    ASSERT_NE(engine, nullptr);
+    EXPECT_EQ(StatisticsFile(engine->statistics()), serial_stats);
+    ExpectSameSplit(VerticesOf(engine->indexed_graph()),
+                    VerticesOf(serial.indexed_graph()));
+    ExpectSameSplit(EdgesOf(engine->indexed_graph()),
+                    EdgesOf(serial.indexed_graph()));
+  }
 }
 
 // --- EPGM operators ---------------------------------------------------------

@@ -17,42 +17,13 @@
 #include "query/graph_statistics.h"
 #include "query/naive_matcher.h"
 
+#include "graph_shapes.h"
+
 namespace gradoop::query {
 namespace {
 
-using epgm::Edge;
 using epgm::GraphHead;
 using epgm::LogicalGraph;
-using epgm::Properties;
-using epgm::Vertex;
-
-struct SmallGraph {
-  std::vector<Vertex> vertices;
-  std::vector<Edge> edges;
-};
-
-SmallGraph MakeGraph(uint64_t seed) {
-  Random rng(seed);
-  SmallGraph g;
-  const int n = 8 + static_cast<int>(rng.NextUint64(4));
-  for (int i = 0; i < n; ++i) {
-    Properties props;
-    props.Set("x", static_cast<int64_t>(rng.NextUint64(3)));
-    g.vertices.emplace_back(i + 1,
-                            rng.NextBool(0.6) ? "Person" : "Tag",
-                            std::move(props));
-  }
-  const int m = 14 + static_cast<int>(rng.NextUint64(8));
-  for (int i = 0; i < m; ++i) {
-    Properties props;
-    props.Set("w", static_cast<int64_t>(rng.NextUint64(3)));
-    g.edges.emplace_back(1000 + i,
-                         rng.NextBool(0.5) ? "knows" : "likes",
-                         1 + rng.NextUint64(n), 1 + rng.NextUint64(n),
-                         std::move(props));
-  }
-  return g;
-}
 
 // Emits a random syntactically valid query over variables a..d.
 std::string MakeQuery(Random* rng) {
@@ -136,7 +107,7 @@ class QueryFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(QueryFuzzTest, RandomQueriesMatchOracle) {
   const uint64_t seed = GetParam();
-  SmallGraph g = MakeGraph(seed);
+  test_graphs::ElementVectors g = test_graphs::FuzzElements(seed);
   auto graph = LogicalGraph::FromVectors(dataflow::MakeContext(),
                                          GraphHead(0, "G"), g.vertices,
                                          g.edges);
